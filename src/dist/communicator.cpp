@@ -99,8 +99,7 @@ obs::Counter* AllGatherChunks() {
 }
 
 // A shard partition must be world+1 ascending offsets spanning exactly
-// [0, len] — the shape ShardOffsets produces. Shared by every sharded
-// collective entry (sync and async).
+// [0, len] — the shape ShardOffsets produces.
 void ValidateShardOffsets(const std::vector<std::int64_t>& offsets,
                           std::int64_t len, int world) {
   S4TF_CHECK_EQ(offsets.size(), static_cast<std::size_t>(world) + 1)
@@ -112,6 +111,17 @@ void ValidateShardOffsets(const std::vector<std::int64_t>& offsets,
     S4TF_CHECK_LE(offsets[i - 1], offsets[i])
         << "shard_offsets must be ascending";
   }
+}
+
+// Trace span name of one collective entry.
+const char* CollectiveSpanName(CollectiveKind kind, bool async) {
+  if (kind == CollectiveKind::kAllReduce) {
+    return async ? "dist.allreduce.async" : "dist.allreduce";
+  }
+  if (kind == CollectiveKind::kReduceScatter) {
+    return async ? "dist.reduce_scatter.async" : "dist.reduce_scatter";
+  }
+  return async ? "dist.all_gather.async" : "dist.all_gather";
 }
 
 }  // namespace
@@ -193,11 +203,8 @@ std::vector<float> OrderedTreeReduceMean(
   return out;
 }
 
-// Shared state of one in-flight asynchronous collective. The caller's
-// thread and the rank's comm thread synchronize exclusively through
-// `mutex`/`cv`; `completed == enqueued` with no further enqueues pending
-// means no comm-thread access to `data` can happen afterwards.
-struct RingCommunicator::AsyncOp {
+// One entered collective: everything a bucket of it needs to run.
+struct RingCommunicator::Call {
   int rank = 0;
   std::uint32_t seq = 0;
   std::vector<float>* data = nullptr;
@@ -206,6 +213,14 @@ struct RingCommunicator::AsyncOp {
   // Resolved shard partition (kReduceScatter/kAllGather only).
   std::vector<std::int64_t> shard_offsets;
   std::int64_t num_buckets = 0;
+};
+
+// Shared state of one in-flight asynchronous collective. The caller's
+// thread and the rank's comm thread synchronize exclusively through
+// `mutex`/`cv`; `completed == enqueued` with no further enqueues pending
+// means no comm-thread access to `call.data` can happen afterwards.
+struct RingCommunicator::AsyncOp {
+  Call call;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -225,7 +240,7 @@ struct RingCommunicator::CommThread {
   std::condition_variable cv;
   std::deque<BucketJob> queue;
   bool shutdown = false;
-  std::thread thread;  // started on the rank's first AllReduceAsync
+  std::thread thread;  // started on the rank's first RunAsync
 };
 
 RingCommunicator::RingCommunicator(int world_size, CollectiveOptions options,
@@ -353,18 +368,13 @@ std::vector<float> RingCommunicator::Recv(int rank, const MessageKey& key,
   return {};  // unreachable; S4TF_CHECK throws
 }
 
-CollectiveResult RingCommunicator::Run(int rank, const CollectiveSpec& spec,
-                                       std::vector<float>& data) {
+RingCommunicator::Call RingCommunicator::Enter(int rank,
+                                               const CollectiveSpec& spec,
+                                               std::vector<float>& data) {
   S4TF_CHECK_GE(rank, 0);
   S4TF_CHECK_LT(rank, world_);
-  const std::int64_t bytes =
-      static_cast<std::int64_t>(data.size() * sizeof(float));
-  obs::TraceSpan span(spec.kind == CollectiveKind::kAllReduce
-                          ? "dist.allreduce"
-                          : (spec.kind == CollectiveKind::kReduceScatter
-                                 ? "dist.reduce_scatter"
-                                 : "dist.all_gather"),
-                      "dist", "bytes", bytes);
+  const std::int64_t len = static_cast<std::int64_t>(data.size());
+  const std::int64_t bytes = len * static_cast<std::int64_t>(sizeof(float));
   switch (spec.kind) {
     case CollectiveKind::kAllReduce:
       AllReduceCalls()->Increment();
@@ -380,39 +390,44 @@ CollectiveResult RingCommunicator::Run(int rank, const CollectiveSpec& spec,
       break;
   }
 
-  RankState& state = states_[static_cast<std::size_t>(rank)];
-  const std::uint32_t seq = state.next_seq++;
-  if (injector_.DiesAt(rank, seq)) {
-    // Permanent death: this rank never sends its chunks, so every peer's
-    // receive of them times out and fails loudly within its bounded
-    // budget — no hang, by construction.
+  Call call;
+  call.rank = rank;
+  call.seq = states_[static_cast<std::size_t>(rank)].next_seq++;
+  if (injector_.DiesAt(rank, call.seq)) {
+    // Permanent death: this rank never sends its chunks (an async entry
+    // creates no handle), so every peer's receive of them times out and
+    // fails loudly within its bounded budget — no hang, by construction.
     ReplicaDeaths()->Increment();
-    throw ReplicaDeadError(rank, seq);
+    throw ReplicaDeadError(rank, call.seq);
   }
-
-  const std::int64_t num_buckets = NumAllReduceBuckets(
-      static_cast<std::int64_t>(data.size()), options_.bucket_bytes);
-  S4TF_CHECK_LT(num_buckets, 1 << 16) << "too many buckets for message key";
-
+  call.data = &data;
+  call.kind = spec.kind;
+  call.op = spec.reduce;
+  call.num_buckets = NumAllReduceBuckets(len, options_.bucket_bytes);
+  S4TF_CHECK_LT(call.num_buckets, 1 << 16)
+      << "too many buckets for message key";
   if (spec.kind == CollectiveKind::kAllReduce) {
-    AllReduceBuckets()->Add(num_buckets);
-    for (std::int64_t b = 0; b < num_buckets; ++b) {
-      RunBucket(rank, seq, b, data, spec.reduce);
-    }
+    AllReduceBuckets()->Add(call.num_buckets);
   } else {
-    const std::vector<std::int64_t> offsets =
-        spec.shard_offsets.empty()
-            ? ShardOffsets(static_cast<std::int64_t>(data.size()), world_)
-            : spec.shard_offsets;
-    ValidateShardOffsets(offsets, static_cast<std::int64_t>(data.size()),
-                         world_);
-    for (std::int64_t b = 0; b < num_buckets; ++b) {
-      RunShardBucket(spec.kind, rank, seq, b, data, spec.reduce, offsets);
-    }
+    call.shard_offsets = spec.shard_offsets.empty()
+                             ? ShardOffsets(len, world_)
+                             : spec.shard_offsets;
+    ValidateShardOffsets(call.shard_offsets, len, world_);
   }
+  return call;
+}
+
+CollectiveResult RingCommunicator::Run(int rank, const CollectiveSpec& spec,
+                                       std::vector<float>& data) {
+  const std::int64_t bytes =
+      static_cast<std::int64_t>(data.size() * sizeof(float));
+  obs::TraceSpan span(CollectiveSpanName(spec.kind, /*async=*/false), "dist",
+                      "bytes", bytes);
+  const Call call = Enter(rank, spec, data);
+  for (std::int64_t b = 0; b < call.num_buckets; ++b) RunCallBucket(call, b);
   CollectiveResult result;
   result.bytes = bytes;
-  result.buckets = num_buckets;
+  result.buckets = call.num_buckets;
   return result;
 }
 
@@ -527,49 +542,31 @@ void RingCommunicator::GatherPhase(CollectiveKind kind, int rank,
   }
 }
 
-void RingCommunicator::RunBucket(int rank, std::uint32_t seq,
-                                 std::int64_t b, std::vector<float>& data,
-                                 ReduceOp op) {
-  const std::int64_t len = static_cast<std::int64_t>(data.size());
-  const std::int64_t bucket_elems = std::max<std::int64_t>(
-      1, options_.bucket_bytes / static_cast<std::int64_t>(sizeof(float)));
-  const std::int64_t b_begin = b * bucket_elems;
-  const std::int64_t b_len = std::min(len - b_begin, bucket_elems);
-  // One chunk per rank; `per`-sized except a short (possibly empty)
-  // tail. Every rank derives the same geometry from b_len alone, so
-  // empty chunks are skipped consistently on both sides of every send.
-  const std::int64_t per = (b_len + world_ - 1) / world_;
-  std::vector<std::int64_t> off(static_cast<std::size_t>(world_) + 1);
-  for (int c = 0; c <= world_; ++c) {
-    off[static_cast<std::size_t>(c)] =
-        b_begin + std::min<std::int64_t>(b_len, c * per);
-  }
-  ScatterReducePhase(CollectiveKind::kAllReduce, rank, seq, b, data, op,
-                     off.data());
-  GatherPhase(CollectiveKind::kAllReduce, rank, seq, b, data, off.data());
-}
-
-void RingCommunicator::RunShardBucket(
-    CollectiveKind kind, int rank, std::uint32_t seq, std::int64_t b,
-    std::vector<float>& data, ReduceOp op,
-    const std::vector<std::int64_t>& shard_offsets) {
-  const std::int64_t len = static_cast<std::int64_t>(data.size());
+void RingCommunicator::RunCallBucket(const Call& call, std::int64_t b) {
+  const std::int64_t len = static_cast<std::int64_t>(call.data->size());
   const std::int64_t bucket_elems = std::max<std::int64_t>(
       1, options_.bucket_bytes / static_cast<std::int64_t>(sizeof(float)));
   const std::int64_t b_begin = b * bucket_elems;
   const std::int64_t b_end = std::min(len, b_begin + bucket_elems);
-  // Chunk c = shard c clipped to this bucket's element range; every rank
-  // derives the identical partition, so empty chunks are skipped
-  // consistently on both sides of every send.
+  // All-reduce: one chunk per rank, `per`-sized except a short (possibly
+  // empty) tail. Reduce-scatter/all-gather: chunk c = shard c clipped to
+  // this bucket's element range. Every rank derives the identical
+  // partition, so empty chunks are skipped consistently on both sides of
+  // every send.
+  const std::int64_t per = (b_end - b_begin + world_ - 1) / world_;
   std::vector<std::int64_t> off(static_cast<std::size_t>(world_) + 1);
-  for (int c = 0; c <= world_; ++c) {
-    off[static_cast<std::size_t>(c)] = std::min(
-        b_end, std::max(b_begin, shard_offsets[static_cast<std::size_t>(c)]));
+  for (std::size_t c = 0; c < off.size(); ++c) {
+    const std::int64_t edge = call.kind == CollectiveKind::kAllReduce
+                                  ? b_begin + static_cast<std::int64_t>(c) * per
+                                  : call.shard_offsets[c];
+    off[c] = std::min(b_end, std::max(b_begin, edge));
   }
-  if (kind == CollectiveKind::kReduceScatter) {
-    ScatterReducePhase(kind, rank, seq, b, data, op, off.data());
-  } else {
-    GatherPhase(kind, rank, seq, b, data, off.data());
+  if (call.kind != CollectiveKind::kAllGather) {
+    ScatterReducePhase(call.kind, call.rank, call.seq, b, *call.data, call.op,
+                       off.data());
+  }
+  if (call.kind != CollectiveKind::kReduceScatter) {
+    GatherPhase(call.kind, call.rank, call.seq, b, *call.data, off.data());
   }
 }
 
@@ -608,12 +605,7 @@ void RingCommunicator::CommThreadMain(int rank) {
       try {
         obs::TraceSpan span("dist.allreduce.bucket", "dist", "bucket",
                             job.bucket);
-        if (op.kind == CollectiveKind::kAllReduce) {
-          RunBucket(op.rank, op.seq, job.bucket, *op.data, op.op);
-        } else {
-          RunShardBucket(op.kind, op.rank, op.seq, job.bucket, *op.data,
-                         op.op, op.shard_offsets);
-        }
+        RunCallBucket(op.call, job.bucket);
       } catch (...) {
         std::lock_guard<std::mutex> lock(op.mutex);
         if (op.error == nullptr) op.error = std::current_exception();
@@ -629,7 +621,7 @@ void RingCommunicator::CommThreadMain(int rank) {
 
 void RingCommunicator::EnqueueBucket(const std::shared_ptr<AsyncOp>& op,
                                      std::int64_t bucket) {
-  CommThread& ct = EnsureCommThread(op->rank);
+  CommThread& ct = EnsureCommThread(op->call.rank);
   {
     std::lock_guard<std::mutex> lock(op->mutex);
     ++op->enqueued;
@@ -646,7 +638,7 @@ class RingCommunicator::RingAsyncCollective final : public AsyncCollective {
   RingAsyncCollective(RingCommunicator* comm, std::shared_ptr<AsyncOp> op)
       : comm_(comm),
         op_(std::move(op)),
-        submitted_(static_cast<std::size_t>(op_->num_buckets), 0) {}
+        submitted_(static_cast<std::size_t>(op_->call.num_buckets), 0) {}
 
   ~RingAsyncCollective() override {
     // Abandon: unsubmitted buckets are never sent (the synchronous
@@ -658,11 +650,13 @@ class RingCommunicator::RingAsyncCollective final : public AsyncCollective {
     op_->cv.wait(lock, [&] { return op_->completed == op_->enqueued; });
   }
 
-  std::int64_t num_buckets() const override { return op_->num_buckets; }
+  std::int64_t num_buckets() const override {
+    return op_->call.num_buckets;
+  }
 
   void SubmitBucket(std::int64_t b) override {
     S4TF_CHECK_GE(b, 0);
-    S4TF_CHECK_LT(b, op_->num_buckets);
+    S4TF_CHECK_LT(b, op_->call.num_buckets);
     char& flag = submitted_[static_cast<std::size_t>(b)];
     S4TF_CHECK(!flag) << "bucket " << b << " submitted twice";
     flag = 1;
@@ -673,7 +667,7 @@ class RingCommunicator::RingAsyncCollective final : public AsyncCollective {
   void Wait() override {
     obs::TraceSpan span("dist.allreduce.wait", "dist");
     OverlapWaitCalls()->Increment();
-    for (std::int64_t b = 0; b < op_->num_buckets; ++b) {
+    for (std::int64_t b = 0; b < op_->call.num_buckets; ++b) {
       char& flag = submitted_[static_cast<std::size_t>(b)];
       if (!flag) {
         flag = 1;
@@ -694,64 +688,13 @@ class RingCommunicator::RingAsyncCollective final : public AsyncCollective {
 
 std::unique_ptr<AsyncCollective> RingCommunicator::RunAsync(
     int rank, const CollectiveSpec& spec, std::vector<float>& data) {
-  S4TF_CHECK_GE(rank, 0);
-  S4TF_CHECK_LT(rank, world_);
-  const std::int64_t bytes =
-      static_cast<std::int64_t>(data.size() * sizeof(float));
-  obs::TraceSpan span(spec.kind == CollectiveKind::kAllReduce
-                          ? "dist.allreduce.async"
-                          : (spec.kind == CollectiveKind::kReduceScatter
-                                 ? "dist.reduce_scatter.async"
-                                 : "dist.all_gather.async"),
-                      "dist", "bytes", bytes);
+  obs::TraceSpan span(CollectiveSpanName(spec.kind, /*async=*/true), "dist",
+                      "bytes",
+                      static_cast<std::int64_t>(data.size() * sizeof(float)));
   OverlapAsyncCalls()->Increment();
-  switch (spec.kind) {
-    case CollectiveKind::kAllReduce:
-      AllReduceCalls()->Increment();
-      AllReduceBytes()->Add(bytes);
-      break;
-    case CollectiveKind::kReduceScatter:
-      ReduceScatterCalls()->Increment();
-      ReduceScatterBytes()->Add(bytes);
-      break;
-    case CollectiveKind::kAllGather:
-      AllGatherCalls()->Increment();
-      AllGatherBytes()->Add(bytes);
-      break;
-  }
-
-  RankState& state = states_[static_cast<std::size_t>(rank)];
-  const std::uint32_t seq = state.next_seq++;
-  if (injector_.DiesAt(rank, seq)) {
-    // Dying at the async entry: no handle is created and nothing is ever
-    // sent for this seq, so peers time out on every bucket and fail
-    // loudly within their bounded budgets — same as the sync path.
-    ReplicaDeaths()->Increment();
-    throw ReplicaDeadError(rank, seq);
-  }
-
-  const std::int64_t num_buckets = NumAllReduceBuckets(
-      static_cast<std::int64_t>(data.size()), options_.bucket_bytes);
-  S4TF_CHECK_LT(num_buckets, 1 << 16) << "too many buckets for message key";
-
-  auto async = std::make_shared<AsyncOp>();
-  async->rank = rank;
-  async->seq = seq;
-  async->data = &data;
-  async->kind = spec.kind;
-  async->op = spec.reduce;
-  async->num_buckets = num_buckets;
-  if (spec.kind == CollectiveKind::kAllReduce) {
-    AllReduceBuckets()->Add(num_buckets);
-  } else {
-    async->shard_offsets =
-        spec.shard_offsets.empty()
-            ? ShardOffsets(static_cast<std::int64_t>(data.size()), world_)
-            : spec.shard_offsets;
-    ValidateShardOffsets(async->shard_offsets,
-                         static_cast<std::int64_t>(data.size()), world_);
-  }
-  return std::make_unique<RingAsyncCollective>(this, std::move(async));
+  auto op = std::make_shared<AsyncOp>();
+  op->call = Enter(rank, spec, data);
+  return std::make_unique<RingAsyncCollective>(this, std::move(op));
 }
 
 void RingCommunicator::Barrier(int rank) {

@@ -11,8 +11,7 @@
 //     reduction, and which per-rank shard geometry.
 //   * Communicator — the abstract collective surface. Every rank calls
 //     Run/RunAsync with the same specs in the same order from its own
-//     worker thread. The historical AllReduce/AllReduceAsync signatures
-//     remain as thin non-virtual forwarding wrappers.
+//     worker thread.
 //   * RingCommunicator — the in-process implementation: gradient buffers
 //     are split into configurable-size buckets, each bucket into one chunk
 //     per rank; raw chunks are scattered to their owner rank, reduced
@@ -207,9 +206,6 @@ class AsyncCollective {
   virtual void Wait() = 0;
 };
 
-// Historical name from when the only async collective was the all-reduce.
-using AsyncAllReduce = AsyncCollective;
-
 // The collective surface. All methods are collective calls: every rank in
 // [0, world_size) must invoke them with the same spec, in the same order,
 // each with its own rank. Implementations are safe for one concurrent
@@ -242,36 +238,6 @@ class Communicator {
 
   // Blocks until every rank has arrived.
   virtual void Barrier(int rank) = 0;
-
-  // --- Thin forwarding wrappers (the pre-redesign signatures). --------
-
-  void AllReduce(int rank, std::vector<float>& data, ReduceOp op) {
-    Run(rank, CollectiveSpec::AllReduce(op), data);
-  }
-  void ReduceScatter(int rank, std::vector<float>& data, ReduceOp op,
-                     std::vector<std::int64_t> offsets = {}) {
-    Run(rank, CollectiveSpec::ReduceScatter(op, std::move(offsets)), data);
-  }
-  void AllGather(int rank, std::vector<float>& data,
-                 std::vector<std::int64_t> offsets = {}) {
-    Run(rank, CollectiveSpec::AllGather(std::move(offsets)), data);
-  }
-  std::unique_ptr<AsyncCollective> AllReduceAsync(int rank,
-                                                  std::vector<float>& data,
-                                                  ReduceOp op) {
-    return RunAsync(rank, CollectiveSpec::AllReduce(op), data);
-  }
-  std::unique_ptr<AsyncCollective> ReduceScatterAsync(
-      int rank, std::vector<float>& data, ReduceOp op,
-      std::vector<std::int64_t> offsets = {}) {
-    return RunAsync(rank, CollectiveSpec::ReduceScatter(op, std::move(offsets)),
-                    data);
-  }
-  std::unique_ptr<AsyncCollective> AllGatherAsync(
-      int rank, std::vector<float>& data,
-      std::vector<std::int64_t> offsets = {}) {
-    return RunAsync(rank, CollectiveSpec::AllGather(std::move(offsets)), data);
-  }
 };
 
 // In-process communicator over per-rank mailboxes (see file header for
@@ -324,7 +290,10 @@ class RingCommunicator final : public Communicator {
     SimAccelerator* accelerator = nullptr;
   };
 
-  // Shared state of one asynchronous collective; defined in the .cpp.
+  // One entered collective: the resolved parameters each of its buckets
+  // runs with. Shared state of one asynchronous collective. Both defined
+  // in the .cpp.
+  struct Call;
   struct AsyncOp;
   struct BucketJob;
   // Per-rank background communication thread (lazily started) with a
@@ -351,16 +320,16 @@ class RingCommunicator final : public Communicator {
   void GatherPhase(CollectiveKind kind, int rank, std::uint32_t seq,
                    std::int64_t bucket, std::vector<float>& data,
                    const std::int64_t* chunk_offsets);
-  // Scatter/reduce/all-gather of one bucket — the shared per-bucket body
-  // of both the synchronous and the asynchronous all-reduce paths.
-  void RunBucket(int rank, std::uint32_t seq, std::int64_t bucket,
-                 std::vector<float>& data, ReduceOp op);
-  // One bucket of a standalone ReduceScatter/AllGather: the global shard
-  // partition clipped to the bucket's element range.
-  void RunShardBucket(CollectiveKind kind, int rank, std::uint32_t seq,
-                      std::int64_t bucket, std::vector<float>& data,
-                      ReduceOp op,
-                      const std::vector<std::int64_t>& shard_offsets);
+  // The collective entry Run and RunAsync share: kind counters, the
+  // rank's next seq, the death check, the bucket count, and shard-offset
+  // validation. Throws ReplicaDeadError when the rank dies here.
+  Call Enter(int rank, const CollectiveSpec& spec, std::vector<float>& data);
+  // Runs bucket `bucket` of an entered collective — inline for Run, on
+  // the rank's comm thread for RunAsync. An all-reduce bucket splits into
+  // one chunk per rank and runs both phases; a reduce-scatter/all-gather
+  // bucket runs its one phase over the global shard partition clipped to
+  // the bucket's element range.
+  void RunCallBucket(const Call& call, std::int64_t bucket);
   CommThread& EnsureCommThread(int rank);
   void CommThreadMain(int rank);
   void EnqueueBucket(const std::shared_ptr<AsyncOp>& op, std::int64_t bucket);

@@ -81,8 +81,8 @@ struct FaultPlan {
   // collective sequence number — a corruption poisons buffers, not
   // messages, so it is scheduled per step. The struck element index (and
   // the flipped bit, for kBitflip) are pure functions of (seed, step), so
-  // a corrupt run is bit-reproducible for any thread interleaving and the
-  // sync/overlap paths corrupt the identical element. kNaN/kInf strike
+  // a corrupt run is bit-reproducible for any thread interleaving and any
+  // bucket submission order. kNaN/kInf strike
   // the rank's *local* gradient buffer before reduction (caught by the
   // guard's per-rank finite scan); kBitflip strikes the rank's
   // *post-collective agreement buffer* — the silent-data-corruption case

@@ -37,7 +37,6 @@ struct CheckpointMetrics {
 };
 
 constexpr char kMagic[8] = {'S', '4', 'T', 'F', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kVersion1 = 1;
 constexpr std::uint32_t kVersion2 = 2;
 
 // Section kinds of the v2 container.
@@ -255,53 +254,6 @@ StatusOr<Checkpoint::Entry> DecodeTensorPayload(const RawSection& section,
   return entry;
 }
 
-// Legacy v1 reader: magic | u32 version | u32 count | per entry
-// rank/dims/f32 payload. No checksums, but allocations are still bounded
-// by the actual file size and trailing garbage is rejected.
-StatusOr<Checkpoint> ParseV1(const std::string& bytes,
-                             const std::string& path) {
-  BufferReader reader(bytes.data(), bytes.size());
-  reader.Skip(sizeof(kMagic) + sizeof(std::uint32_t));
-  std::uint32_t count = 0;
-  if (!reader.ReadPod(count)) {
-    return Status::InvalidArgument("truncated checkpoint: " + path);
-  }
-  Checkpoint checkpoint;
-  // A v1 entry is at least 4 bytes (rank word); bound the reserve.
-  checkpoint.entries.reserve(
-      std::min<std::size_t>(count, reader.remaining() / 4 + 1));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t rank = 0;
-    if (!reader.ReadPod(rank) || rank > kMaxRank) {
-      return Status::InvalidArgument("corrupt entry rank in " + path);
-    }
-    std::vector<std::int64_t> dims(rank);
-    for (auto& d : dims) {
-      if (!reader.ReadPod(d) || d < 0) {
-        return Status::InvalidArgument("corrupt entry dims in " + path);
-      }
-    }
-    const std::int64_t n = BoundedNumElements(
-        dims, static_cast<std::int64_t>(reader.remaining() / sizeof(float)));
-    if (n < 0) {
-      return Status::InvalidArgument("truncated payload in " + path);
-    }
-    Checkpoint::Entry entry;
-    entry.shape = Shape(std::move(dims));
-    entry.values.resize(static_cast<std::size_t>(n));
-    if (!reader.ReadBytes(entry.values.data(),
-                          entry.values.size() * sizeof(float))) {
-      return Status::InvalidArgument("truncated payload in " + path);
-    }
-    checkpoint.entries.push_back(std::move(entry));
-  }
-  if (reader.remaining() != 0) {
-    return Status::InvalidArgument(
-        "trailing garbage after last entry in " + path);
-  }
-  return checkpoint;
-}
-
 StatusOr<std::string> ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open: " + path);
@@ -314,20 +266,19 @@ StatusOr<std::string> ReadWholeFile(const std::string& path) {
   return bytes;
 }
 
-// Validates magic and returns the format version.
-StatusOr<std::uint32_t> SniffVersion(const std::string& bytes,
-                                     const std::string& path) {
+// Validates the magic and the format version (v2 is the only one).
+Status CheckHeader(const std::string& bytes, const std::string& path) {
   if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not an s4tf checkpoint: " + path);
   }
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  if (version != kVersion1 && version != kVersion2) {
+  if (version != kVersion2) {
     return Status::InvalidArgument("unsupported checkpoint version in " +
                                    path);
   }
-  return version;
+  return Status::Ok();
 }
 
 constexpr const char* kParamPrefix = "param/";
@@ -506,19 +457,11 @@ StatusOr<Checkpoint> LoadCheckpoint(const std::string& path) {
   obs::TraceSpan span("nn.checkpoint.load", "checkpoint");
   auto bytes = ReadWholeFile(path);
   if (!bytes.ok()) return bytes.status();
-  auto version = SniffVersion(*bytes, path);
-  if (!version.ok()) return version.status();
-
+  S4TF_RETURN_IF_ERROR(CheckHeader(*bytes, path));
+  auto sections = ParseV2Sections(*bytes, path);
+  if (!sections.ok()) return sections.status();
   Checkpoint checkpoint;
-  if (*version == kVersion1) {
-    auto parsed = ParseV1(*bytes, path);
-    if (!parsed.ok()) return parsed.status();
-    checkpoint = std::move(parsed).value();
-  } else {
-    auto sections = ParseV2Sections(*bytes, path);
-    if (!sections.ok()) return sections.status();
-    S4TF_RETURN_IF_ERROR(CollectParams(*sections, path, &checkpoint));
-  }
+  S4TF_RETURN_IF_ERROR(CollectParams(*sections, path, &checkpoint));
   CheckpointMetrics& metrics = CheckpointMetrics::Get();
   metrics.loads->Increment();
   metrics.bytes_read->Add(static_cast<std::int64_t>(bytes->size()));
@@ -529,12 +472,7 @@ StatusOr<TrainingState> LoadTrainingState(const std::string& path) {
   obs::TraceSpan span("nn.checkpoint.load_state", "checkpoint");
   auto bytes = ReadWholeFile(path);
   if (!bytes.ok()) return bytes.status();
-  auto version = SniffVersion(*bytes, path);
-  if (!version.ok()) return version.status();
-  if (*version != kVersion2) {
-    return Status::InvalidArgument(
-        "training state requires a v2 checkpoint: " + path);
-  }
+  S4TF_RETURN_IF_ERROR(CheckHeader(*bytes, path));
   auto sections = ParseV2Sections(*bytes, path);
   if (!sections.ok()) return sections.status();
 

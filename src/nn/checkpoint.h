@@ -30,11 +30,11 @@
 // parent directory). A crash at any point leaves either the previous
 // complete file or the new complete file — never a torn mix.
 //
-// Loading still reads the legacy v1 format (magic | version 1 |
-// num_entries | per entry rank/dims/payload, no checksums) so pre-v2
-// checkpoints keep working; both parsers bound every allocation by the
-// actual file size, so a crafted header with huge dims fails cleanly
-// instead of driving a multi-GB resize.
+// Loading accepts only v2: any other version (including the unchecksummed
+// v1 layout nothing writes any more) fails with InvalidArgument. The
+// parser bounds every allocation by the actual file size, so a crafted
+// header with huge dims fails cleanly instead of driving a multi-GB
+// resize.
 #pragma once
 
 #include <algorithm>
@@ -272,8 +272,8 @@ Status RestoreTrainingState(M& model, Optimizer& optimizer,
 }
 
 // Binary (de)serialization; see the file header for the format and the
-// durability contract. Saves write v2; loads accept v1 and v2 (including
-// extracting just the parameters from a full TrainingState file).
+// durability contract. Saves write and loads accept v2 (LoadCheckpoint
+// also extracts just the parameters from a full TrainingState file).
 Status SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path);
 StatusOr<Checkpoint> LoadCheckpoint(const std::string& path);
 

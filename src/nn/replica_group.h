@@ -4,24 +4,26 @@
 // owns K per-replica devices (Device::ForReplica), a worker pool, a
 // RingCommunicator, and optional per-replica simulated accelerators.
 // TrainStep runs each replica's forward/backward concurrently under its
-// own DeviceScope, all-reduces the flattened gradients through the
-// bucketed ring (mean inside the collective — optimizers always see
-// correctly-scaled tangents), and applies one update to the caller's
-// model.
+// own DeviceScope and streams the flattened gradients into the bucketed
+// ring as the reverse sweep finalizes them, so early buckets reduce
+// while later gradients are still being computed (mean inside the
+// collective — optimizers always see correctly-scaled tangents). One
+// update step then applies the reduced gradients to the caller's model:
+// replicated (all-reduce, then Optimizer::Update) or ZeRO-sharded
+// (reduce-scatter, per-rank UpdateSlots, parameter all-gather).
 //
 // Determinism: per-replica compute is bit-deterministic for any intra-op
-// thread count (PR 1), and the communicator reduces every element by a
+// thread count, and the communicator reduces every element by a
 // canonical rank-ordered tree (dist/communicator.h). A ReplicaGroup with
 // options.sequential = true runs the identical per-replica compute on
 // the calling thread and reduces with the same OrderedTreeReduceMean —
 // TrainStep's results are bit-identical between the two modes for every
-// replica/thread-count combination (tested in tests/dist/).
+// replica/thread-count/bucket-size combination (tested in tests/dist/).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <typeinfo>
@@ -35,7 +37,6 @@
 #include "nn/guard.h"
 #include "nn/losses.h"
 #include "nn/training.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/threadpool.h"
 #include "tensor/ops.h"
@@ -51,20 +52,10 @@ struct ReplicaGroupOptions {
   // communicator charges every chunk's ring cost to it.
   std::optional<AcceleratorSpec> accelerator;
   // Reference mode: run replicas one after another on the calling thread
-  // and reduce with OrderedTreeReduceMean directly (no communicator, no
-  // faults). Bit-identical to the threaded path by construction.
+  // and reduce with OrderedTreeReduceMean directly (no streaming, no
+  // communicator, no faults). Bit-identical to the threaded path by
+  // construction.
   bool sequential = false;
-  // Overlap gradient communication with backward compute (threaded mode
-  // only): each gradient bucket is handed to the communicator the moment
-  // the reverse sweep finalizes its last parameter, so early buckets
-  // reduce while later gradients are still being computed. The reduction
-  // tree, bucket geometry, and collective sequence are unchanged, so
-  // results are bit-identical to overlap = false and to the sequential
-  // reference for every world size, bucket size, and schedule.
-  bool overlap = true;
-  // Communicator barrier at the end of every TrainStep, so no replica
-  // races ahead into the next step's collectives.
-  bool step_barrier = true;
   // ZeRO-style sharded optimizer state (threaded mode only; the
   // sequential reference ignores it — it *is* the replicated baseline).
   // Each rank owns a contiguous range of optimizer slots: gradients are
@@ -82,19 +73,25 @@ struct ReplicaGroupOptions {
   // step issues exactly the pre-guard collective sequence and
   // byte-identical results. When enabled, every step appends one guard
   // AllGather (replicated) or two (sharded) to the collective sequence —
-  // internal::CollectivesPerStep (session.cpp) accounts for them. The
-  // threaded paths run the full sentinel/digest-vote protocol; the
-  // sequential reference (no communicator, no faults) applies only the
-  // caller-side clip/spike math, which is bitwise-identical across modes.
+  // internal::CollectivesPerStep accounts for them. The threaded step
+  // runs the full sentinel/digest-vote protocol; the sequential
+  // reference (no communicator, no faults) applies only the caller-side
+  // clip/spike math, which is bitwise-identical across modes.
   GuardOptions guard;
 };
 
+// Splits one batch of size K*n (dim 0) into K contiguous shards of size
+// n, one per replica. The batch size must divide evenly.
+std::vector<LabeledBatch> ShardBatch(const LabeledBatch& batch, int shards);
+
 namespace internal {
 
-inline obs::Counter& ReplicaStepCounter() {
-  static obs::Counter* counter = obs::GetCounter("nn.replica.steps");
-  return *counter;
-}
+// Collectives one TrainStep issues per rank: the gradient collective
+// and the loss all-reduce, the sharded step's parameter all-gather, the
+// guard exchanges when enabled, and the closing barrier. Every rank
+// consumes exactly this many sequence numbers per step, which is what
+// makes TrainingSession's step -> death_seq translation exact.
+int CollectivesPerStep(const ReplicaGroupOptions& options);
 
 // Flattens a model's tangent into one contiguous buffer in the model's
 // fixed VisitWithTangent order. Parameters whose gradient is the
@@ -116,141 +113,33 @@ std::vector<float> FlattenTangent(M& model,
   return flat;
 }
 
-// Inverse of FlattenTangent: rebuilds full-shape gradient tensors on
-// `device` from the reduced buffer.
+// Inverse of FlattenTangent for slots [begin_slot, end_slot) (all slots
+// by default): only those slots materialize full-shape gradient tensors
+// on `device`; the rest keep the zero-tangent placeholder, which
+// UpdateSlots never reads.
 template <ad::DifferentiableStruct M>
-void UnflattenTangent(M& model, typename M::TangentVector& tangent,
-                      const std::vector<float>& flat, const Device& device) {
+void UnflattenTangentSlots(
+    M& model, typename M::TangentVector& tangent,
+    const std::vector<float>& flat, const Device& device,
+    std::int64_t begin_slot = 0,
+    std::int64_t end_slot = std::numeric_limits<std::int64_t>::max()) {
   std::size_t offset = 0;
+  std::int64_t slot = 0;
   model.VisitWithTangent(tangent, [&](Tensor& param, Tensor& grad) {
     const std::size_t n = static_cast<std::size_t>(param.NumElements());
+    const std::int64_t s = slot++;
     S4TF_CHECK_LE(offset + n, flat.size())
         << "reduced gradient buffer shorter than the model";
-    std::vector<float> values(flat.begin() + static_cast<std::ptrdiff_t>(offset),
-                              flat.begin() +
-                                  static_cast<std::ptrdiff_t>(offset + n));
-    grad = Tensor::FromVector(param.shape(), std::move(values), device);
+    if (s >= begin_slot && s < end_slot) {
+      std::vector<float> values(
+          flat.begin() + static_cast<std::ptrdiff_t>(offset),
+          flat.begin() + static_cast<std::ptrdiff_t>(offset + n));
+      grad = Tensor::FromVector(param.shape(), std::move(values), device);
+    }
     offset += n;
   });
   S4TF_CHECK_EQ(offset, flat.size())
       << "reduced gradient buffer longer than the model";
-}
-
-// Deterministic bucket-readiness plan for the overlapped TrainStep: where
-// each parameter lives in the flattened gradient buffer (VisitParameters
-// order — identical to FlattenTangent's layout) and how many parameters
-// overlap each communicator bucket. A bucket is handed to the
-// communicator the moment its countdown reaches zero during the streaming
-// reverse sweep; since the sweep's finalization order is a pure function
-// of the recorded tape, submission order is too.
-struct GradientBucketPlan {
-  std::vector<std::int64_t> offsets;  // per-parameter element offset
-  std::vector<std::int64_t> sizes;    // per-parameter element count
-  std::int64_t total = 0;
-  std::int64_t bucket_elems = 1;
-  std::int64_t num_buckets = 0;
-  std::vector<std::int64_t> params_in_bucket;  // countdown template
-};
-
-template <ad::DifferentiableStruct M>
-GradientBucketPlan MakeBucketPlan(const M& model,
-                                  std::int64_t bucket_bytes) {
-  GradientBucketPlan plan;
-  M copy = model;  // O(1): parameters are COW tensor handles
-  copy.VisitParameters([&](Tensor& p) {
-    plan.offsets.push_back(plan.total);
-    plan.sizes.push_back(p.NumElements());
-    plan.total += p.NumElements();
-  });
-  plan.bucket_elems = std::max<std::int64_t>(
-      1, bucket_bytes / static_cast<std::int64_t>(sizeof(float)));
-  plan.num_buckets = dist::NumAllReduceBuckets(plan.total, bucket_bytes);
-  plan.params_in_bucket.assign(
-      static_cast<std::size_t>(plan.num_buckets), 0);
-  for (std::size_t p = 0; p < plan.sizes.size(); ++p) {
-    if (plan.sizes[p] == 0) continue;
-    const std::int64_t first = plan.offsets[p] / plan.bucket_elems;
-    const std::int64_t last =
-        (plan.offsets[p] + plan.sizes[p] - 1) / plan.bucket_elems;
-    for (std::int64_t b = first; b <= last; ++b) {
-      ++plan.params_in_bucket[static_cast<std::size_t>(b)];
-    }
-  }
-  return plan;
-}
-
-inline obs::Counter& ZeroStepCounter() {
-  static obs::Counter* counter = obs::GetCounter("nn.zero.sharded_steps");
-  return *counter;
-}
-
-inline obs::Gauge& ZeroStateBytesGauge() {
-  static obs::Gauge* gauge = obs::GetGauge("nn.zero.opt_state_bytes");
-  return *gauge;
-}
-
-// ZeRO shard partition over a model's optimizer slots (VisitParameters
-// order — the same traversal FlattenTangent, MakeBucketPlan, and the
-// optimizers' UpdateSlots walk). Shards are contiguous *slot* ranges, so
-// a rank's elements form one contiguous span of the flattened gradient
-// buffer and its optimizer state slots are whole tensors — no tensor is
-// ever split across ranks. Cuts land on the slot boundary nearest each
-// rank's even element share, which handles worlds that don't divide the
-// element count, ranks with empty shards (world > #slots), and
-// zero-length tensors without special cases.
-struct ZeroShardPlan {
-  std::vector<std::int64_t> slot_offsets;  // per-slot element offset
-  std::vector<std::int64_t> slot_sizes;    // per-slot element count
-  std::vector<std::int64_t> cuts;          // world+1 slot-index cuts
-  std::vector<std::int64_t> elem_offsets;  // world+1 element offsets
-  std::int64_t total = 0;
-  int world = 1;
-
-  std::int64_t shard_begin_slot(int rank) const {
-    return cuts[static_cast<std::size_t>(rank)];
-  }
-  std::int64_t shard_end_slot(int rank) const {
-    return cuts[static_cast<std::size_t>(rank) + 1];
-  }
-  std::int64_t shard_elems(int rank) const {
-    return elem_offsets[static_cast<std::size_t>(rank) + 1] -
-           elem_offsets[static_cast<std::size_t>(rank)];
-  }
-};
-
-template <ad::DifferentiableStruct M>
-ZeroShardPlan MakeZeroShardPlan(const M& model, int world) {
-  S4TF_CHECK_GE(world, 1);
-  ZeroShardPlan plan;
-  plan.world = world;
-  M copy = model;  // O(1): parameters are COW tensor handles
-  copy.VisitParameters([&](Tensor& p) {
-    plan.slot_offsets.push_back(plan.total);
-    plan.slot_sizes.push_back(p.NumElements());
-    plan.total += p.NumElements();
-  });
-  const std::int64_t slots =
-      static_cast<std::int64_t>(plan.slot_offsets.size());
-  plan.cuts.resize(static_cast<std::size_t>(world) + 1);
-  plan.elem_offsets.resize(static_cast<std::size_t>(world) + 1);
-  for (int r = 0; r <= world; ++r) {
-    if (r == world) {
-      plan.cuts[static_cast<std::size_t>(r)] = slots;
-    } else {
-      // First slot at or past this rank's even element share. Targets
-      // are nondecreasing in r, so cuts are too.
-      const std::int64_t target = plan.total * r / world;
-      plan.cuts[static_cast<std::size_t>(r)] =
-          std::lower_bound(plan.slot_offsets.begin(), plan.slot_offsets.end(),
-                           target) -
-          plan.slot_offsets.begin();
-    }
-    const std::int64_t cut = plan.cuts[static_cast<std::size_t>(r)];
-    plan.elem_offsets[static_cast<std::size_t>(r)] =
-        cut < slots ? plan.slot_offsets[static_cast<std::size_t>(cut)]
-                    : plan.total;
-  }
-  return plan;
 }
 
 // Flattens the model's parameters into one contiguous buffer in
@@ -285,91 +174,118 @@ void WriteParams(M& model, const std::vector<float>& flat,
       << "parameter buffer longer than the model";
 }
 
-// UnflattenTangent restricted to slots [begin_slot, end_slot): only the
-// owned slots materialize gradient tensors; the rest keep the
-// zero-tangent placeholder, which UpdateSlots never reads.
+// Where each parameter (optimizer slot) lives in the flattened gradient
+// and parameter buffers: VisitParameters order, the same traversal
+// FlattenTangent, FlattenParams and the optimizers' UpdateSlots walk.
+// Both the bucket plan and the ZeRO shard plan derive from it.
+struct ParamLayout {
+  std::vector<std::int64_t> offsets;  // per-slot element offset
+  std::vector<std::int64_t> sizes;    // per-slot element count
+  std::int64_t total = 0;
+};
+
 template <ad::DifferentiableStruct M>
-void UnflattenTangentSlots(M& model, typename M::TangentVector& tangent,
-                           const std::vector<float>& flat,
-                           const Device& device, std::int64_t begin_slot,
-                           std::int64_t end_slot) {
-  std::size_t offset = 0;
-  std::int64_t slot = 0;
-  model.VisitWithTangent(tangent, [&](Tensor& param, Tensor& grad) {
-    const std::size_t n = static_cast<std::size_t>(param.NumElements());
-    const std::int64_t s = slot++;
-    if (s >= begin_slot && s < end_slot) {
-      S4TF_CHECK_LE(offset + n, flat.size())
-          << "reduced gradient buffer shorter than the model";
-      std::vector<float> values(
-          flat.begin() + static_cast<std::ptrdiff_t>(offset),
-          flat.begin() + static_cast<std::ptrdiff_t>(offset + n));
-      grad = Tensor::FromVector(param.shape(), std::move(values), device);
-    }
-    offset += n;
+ParamLayout MakeParamLayout(const M& model) {
+  ParamLayout layout;
+  M copy = model;  // O(1): parameters are COW tensor handles
+  copy.VisitParameters([&](Tensor& p) {
+    layout.offsets.push_back(layout.total);
+    layout.sizes.push_back(p.NumElements());
+    layout.total += p.NumElements();
   });
+  return layout;
 }
+
+// Deterministic bucket-readiness plan for the streamed gradient
+// collective: how many parameters overlap each communicator bucket. A
+// bucket is handed to the communicator the moment its countdown reaches
+// zero during the streaming reverse sweep; since the sweep's
+// finalization order is a pure function of the recorded tape,
+// submission order is too.
+struct GradientBucketPlan {
+  std::int64_t bucket_elems = 1;
+  std::int64_t num_buckets = 0;
+  std::vector<std::int64_t> params_in_bucket;  // countdown template
+};
+
+GradientBucketPlan MakeBucketPlan(const ParamLayout& layout,
+                                  std::int64_t bucket_bytes);
+
+// ZeRO shard partition over the optimizer slots. Shards are contiguous
+// *slot* ranges, so a rank's elements form one contiguous span of the
+// flattened gradient buffer and its optimizer state slots are whole
+// tensors — no tensor is ever split across ranks. Cuts land on the slot
+// boundary nearest each rank's even element share, which handles worlds
+// that don't divide the element count, ranks with empty shards
+// (world > #slots), and zero-length tensors without special cases.
+struct ZeroShardPlan {
+  std::vector<std::int64_t> cuts;          // world+1 slot-index cuts
+  std::vector<std::int64_t> elem_offsets;  // world+1 element offsets
+
+  std::int64_t shard_begin_slot(int rank) const {
+    return cuts[static_cast<std::size_t>(rank)];
+  }
+  std::int64_t shard_end_slot(int rank) const {
+    return cuts[static_cast<std::size_t>(rank) + 1];
+  }
+  std::int64_t shard_elems(int rank) const {
+    return elem_offsets[static_cast<std::size_t>(rank) + 1] -
+           elem_offsets[static_cast<std::size_t>(rank)];
+  }
+};
+
+ZeroShardPlan MakeZeroShardPlan(const ParamLayout& layout, int world);
+
+// What every rank of one TrainStep shares: the switches (all off for the
+// sequential reference), the geometry, and the gradient collective
+// (all-reduce, or reduce-scatter over the shard plan).
+struct StepPlan {
+  std::int64_t step = 0;  // group-local: the corruption schedule key
+  bool sharded = false;
+  bool guard = false;
+  bool inject = false;  // a FaultPlan corruption is armed
+  ParamLayout layout;
+  GradientBucketPlan buckets;
+  ZeroShardPlan shards;  // sharded only
+  dist::CollectiveSpec grad_spec;
+};
+
+// One rank's streamed gradient collective. The constructor starts the
+// gradient collective over a zeroed `flat` buffer *before* the backward
+// pass (one collective seq); OnGradient, the reverse sweep's
+// finalization hook, copies each parameter's gradient into place and
+// submits every bucket whose last parameter just landed, so the rank's
+// comm thread reduces early buckets while later gradients are still
+// being computed. Corruption injection and the guard's local scan run
+// per bucket at submission time — after that the communicator reduces
+// the bucket in place, destroying the local values. Finish drains the
+// collective (rethrowing any failure), all-reduces the loss, and — guard
+// on — exchanges the rank's guard slots.
+class GradientStream {
+ public:
+  GradientStream(dist::Communicator& comm, const ReplicaGroupOptions& options,
+                 const StepPlan& plan, int rank, std::vector<float>& flat);
+
+  void OnGradient(std::size_t param, const Tensor* grad);
+  void Finish(const Tensor& loss, std::vector<float>& loss_buf,
+              std::vector<float>& guard_buf);
+
+ private:
+  dist::Communicator& comm_;
+  const ReplicaGroupOptions& options_;
+  const StepPlan& plan_;
+  int rank_;
+  std::vector<float>& flat_;
+  std::optional<LocalGuardScan> scan_;
+  std::unique_ptr<dist::AsyncCollective> handle_;
+  std::vector<std::int64_t> remaining_;
+};
 
 }  // namespace internal
 
-// Splits one batch of size K*n (dim 0) into K contiguous shards of size
-// n, one per replica. The batch size must divide evenly.
-inline std::vector<LabeledBatch> ShardBatch(const LabeledBatch& batch,
-                                            int shards) {
-  S4TF_CHECK_GE(shards, 1);
-  const Shape& full = batch.images.shape();
-  const std::int64_t total = full.dim(0);
-  S4TF_CHECK_EQ(total % shards, 0)
-      << "batch size " << total << " not divisible into " << shards
-      << " shards";
-  const std::int64_t per = total / shards;
-  std::vector<LabeledBatch> result;
-  result.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    LabeledBatch shard;
-    std::vector<std::int64_t> starts(static_cast<std::size_t>(full.rank()),
-                                     0);
-    starts[0] = s * per;
-    std::vector<std::int64_t> sizes = full.dims();
-    sizes[0] = per;
-    shard.images = Slice(batch.images, std::move(starts), std::move(sizes));
-    shard.one_hot = Slice(batch.one_hot, {s * per, 0},
-                          {per, batch.one_hot.shape().dim(1)});
-    shard.labels.assign(
-        batch.labels.begin() + static_cast<std::ptrdiff_t>(s * per),
-        batch.labels.begin() + static_cast<std::ptrdiff_t>((s + 1) * per));
-    result.push_back(std::move(shard));
-  }
-  return result;
-}
-
 class ReplicaGroup {
  public:
-  explicit ReplicaGroup(int replicas, ReplicaGroupOptions options = {})
-      : options_(std::move(options)),
-        replicas_(replicas),
-        comm_(replicas, options_.collective,
-              options_.sequential ? dist::FaultPlan{} : options_.faults) {
-    S4TF_CHECK_GE(replicas_, 1);
-    devices_.reserve(static_cast<std::size_t>(replicas_));
-    for (int r = 0; r < replicas_; ++r) {
-      devices_.push_back(Device::ForReplica(options_.device_kind, r));
-    }
-    if (options_.accelerator.has_value()) {
-      accelerators_.reserve(static_cast<std::size_t>(replicas_));
-      for (int r = 0; r < replicas_; ++r) {
-        accelerators_.push_back(
-            std::make_unique<SimAccelerator>(*options_.accelerator));
-        comm_.AttachAccelerator(r, accelerators_.back().get());
-      }
-    }
-    if (!options_.sequential && replicas_ > 1) {
-      // One worker per replica (plus the participating caller), so every
-      // concurrently-blocking collective call holds its own thread.
-      pool_ = std::make_unique<ThreadPool>(replicas_);
-    }
-    replica_seconds_.assign(static_cast<std::size_t>(replicas_), 0.0);
-  }
+  explicit ReplicaGroup(int replicas, ReplicaGroupOptions options = {});
 
   int replicas() const { return replicas_; }
   const Device& device(int rank) const {
@@ -382,8 +298,9 @@ class ReplicaGroup {
   }
   const ReplicaGroupOptions& options() const { return options_; }
 
-  // Wall-clock of the last TrainStep's parallel region, and per-replica
-  // worker durations inside it (compute + collectives).
+  // Wall-clock of the last TrainStep from its first parallel region
+  // through the update, and per-replica worker durations inside the
+  // gradient region (compute + collectives).
   double last_step_wall_seconds() const { return last_step_wall_seconds_; }
   double last_step_replica_seconds(int rank) const {
     return replica_seconds_[static_cast<std::size_t>(rank)];
@@ -408,28 +325,23 @@ class ReplicaGroup {
   }
 
   // One synchronous data-parallel step: per-replica gradients of
-  // loss_fn(model, shard) with shared weights, all-reduce-mean through
-  // the communicator, one update to `model`. Returns the mean per-shard
-  // loss (itself all-reduced, so every replica agreed on it).
+  // loss_fn(model, shard) with shared weights, reduced to their mean
+  // through the communicator, one update to `model`. Returns the mean
+  // per-shard loss (itself all-reduced, so every replica agreed on it).
+  //
+  // Per-rank collective sequence: the gradient collective (streamed
+  // during the backward pass), the loss all-reduce, the guard exchange,
+  // then — replicated — the barrier, or — sharded — the parameter
+  // all-gather, the second guard exchange, and the barrier.
   template <ad::DifferentiableStruct M, typename Optimizer, typename LossFn>
   float TrainStep(M& model, Optimizer& optimizer,
                   const std::vector<LabeledBatch>& shards, LossFn&& loss_fn) {
     S4TF_CHECK_EQ(static_cast<int>(shards.size()), replicas_)
         << "need exactly one shard per replica";
-    if (options_.sharded && !options_.sequential) {
-      return TrainStepSharded(model, optimizer, shards,
-                              std::forward<LossFn>(loss_fn));
-    }
-    internal::ReplicaStepCounter().Increment();
-    obs::TraceSpan step_span("nn.replica_step", "dist", "replicas",
-                             replicas_);
-    // Group-local step index: the corruption schedule key
-    // (FaultPlan::corrupt_seq) and the guard EMA clock.
-    const std::int64_t step = group_step_++;
-    const bool guard = options_.guard.enabled && !options_.sequential;
-    const bool inject =
-        !options_.sequential &&
-        options_.faults.corrupt_kind != dist::CorruptKind::kNone;
+    const internal::StepPlan plan = BeginStep(internal::MakeParamLayout(model));
+    obs::TraceSpan step_span(
+        plan.sharded ? "nn.replica_step.sharded" : "nn.replica_step", "dist",
+        "replicas", replicas_);
 
     // Stage per-replica model copies and shards on the calling thread:
     // workers then touch only their own replica's backend state.
@@ -448,207 +360,76 @@ class ReplicaGroup {
                                           shard.labels});
     }
 
-    std::vector<std::vector<float>> flats(
-        static_cast<std::size_t>(replicas_));
-    std::vector<std::vector<float>> losses(
-        static_cast<std::size_t>(replicas_));
-
-    // Overlapped mode: precompute the (replica-independent) bucket plan
-    // once on the calling thread.
-    const bool overlap = options_.overlap && !options_.sequential;
-    internal::GradientBucketPlan plan;
-    if (overlap) {
-      plan = internal::MakeBucketPlan(model, options_.collective.bucket_bytes);
-    }
-
-    // Guard/injection bucket geometry: the communicator's (and the
-    // overlap plan's), so the sync and overlapped paths scan and corrupt
-    // the identical slices and fold the identical digests.
-    const std::int64_t guard_bucket_elems = std::max<std::int64_t>(
-        1, options_.collective.bucket_bytes /
-               static_cast<std::int64_t>(sizeof(float)));
-    std::vector<std::int64_t> guard_offsets;
-    std::vector<std::vector<float>> guard_bufs;
-    if (guard) {
-      guard_offsets = internal::GuardShardOffsets(replicas_);
-      guard_bufs.resize(static_cast<std::size_t>(replicas_));
-    }
-
+    const std::size_t n = static_cast<std::size_t>(replicas_);
+    std::vector<std::vector<float>> flats(n), losses(n), guard_bufs(n);
     const auto step_start = std::chrono::steady_clock::now();
     RunOnReplicas([&](int rank) {
       obs::TraceSpan worker_span("nn.replica_worker", "dist", "rank", rank);
       const auto worker_start = std::chrono::steady_clock::now();
       const std::size_t i = static_cast<std::size_t>(rank);
-      M& local = locals[i];
-      const LabeledBatch& shard = local_shards[i];
-      std::optional<internal::LocalGuardScan> scan;
-      std::uint32_t post_digest = 0;
-      if (overlap) {
-        // Start the gradient all-reduce *before* the backward pass (it
-        // consumes the same single collective seq as the synchronous
-        // call) and feed it buckets as the streaming reverse sweep
-        // finalizes their last parameter. The communicator's per-rank
-        // comm thread reduces early buckets while later gradients are
-        // still being computed; Wait() drains the tail and rethrows any
-        // collective failure exactly where the sync AllReduce would
-        // have thrown. Corruption injection and the guard's local scan
-        // run per bucket at submission time — after that the
-        // communicator reduces the bucket in place, destroying the
-        // local values.
-        flats[i].assign(static_cast<std::size_t>(plan.total), 0.0f);
-        if (guard) {
-          scan.emplace(plan.total, plan.bucket_elems,
-                       options_.guard.check_finite);
-        }
-        auto handle = comm_.RunAsync(
-            rank, dist::CollectiveSpec::AllReduce(dist::ReduceOp::kMean),
-            flats[i]);
-        S4TF_CHECK_EQ(handle->num_buckets(), plan.num_buckets)
-            << "bucket plan disagrees with the communicator's geometry";
-        std::vector<std::int64_t> remaining = plan.params_in_bucket;
+      const auto loss_of = [&](const M& m) {
+        return loss_fn(m, local_shards[i]);
+      };
+      if (options_.sequential) {
+        auto [loss, grads] = ad::ValueWithGradient(locals[i], loss_of);
+        flats[i] = internal::FlattenTangent(locals[i], grads);
+        losses[i] = {loss.ScalarValue()};
+      } else {
+        internal::GradientStream stream(comm_, options_, plan, rank,
+                                        flats[i]);
         Tensor loss;
         {
-          obs::TraceSpan backward_span("nn.replica_backward", "dist",
-                                       "rank", rank);
+          obs::TraceSpan backward_span("nn.replica_backward", "dist", "rank",
+                                       rank);
           loss = ad::ValueWithGradientStreamed(
-              local, [&](const M& m) { return loss_fn(m, shard); },
-              [&](std::size_t p, const Tensor* grad) {
-                const std::int64_t off = plan.offsets[p];
-                const std::int64_t n = plan.sizes[p];
-                if (grad != nullptr && grad->NumElements() == n) {
-                  const std::vector<float> values = grad->ToVector();
-                  std::copy(values.begin(), values.end(),
-                            flats[i].begin() +
-                                static_cast<std::ptrdiff_t>(off));
-                }  // else: keep the explicit zeros (FlattenTangent's
-                   // zero-tangent convention)
-                if (n == 0) return;
-                const std::int64_t first = off / plan.bucket_elems;
-                const std::int64_t last = (off + n - 1) / plan.bucket_elems;
-                for (std::int64_t b = first; b <= last; ++b) {
-                  if (--remaining[static_cast<std::size_t>(b)] == 0) {
-                    if (inject) {
-                      dist::ApplyCorruption(
-                          options_.faults, dist::CorruptPhase::kLocal, rank,
-                          step, flats[i].data(), plan.total,
-                          b * plan.bucket_elems,
-                          std::min((b + 1) * plan.bucket_elems, plan.total));
-                    }
-                    if (scan) scan->ScanBucket(flats[i].data(), b);
-                    handle->SubmitBucket(b);
-                  }
-                }
+              locals[i], loss_of, [&](std::size_t p, const Tensor* grad) {
+                stream.OnGradient(p, grad);
               });
         }
-        handle->Wait();
-        const float local_loss = loss.ScalarValue();
-        if (inject) {
-          dist::ApplyCorruption(options_.faults,
-                                dist::CorruptPhase::kAgreement, rank, step,
-                                flats[i].data(), plan.total, 0, plan.total);
-        }
-        if (guard) {
-          scan->NoteScalar(local_loss);
-          post_digest = internal::GuardDigestBuckets(
-              flats[i].data(), plan.total, plan.bucket_elems);
-        }
-        losses[i] = {local_loss};
-        comm_.Run(rank, dist::CollectiveSpec::AllReduce(dist::ReduceOp::kMean),
-                  losses[i]);
-      } else {
-        auto [loss, grads] = ad::ValueWithGradient(
-            local, [&](const M& m) { return loss_fn(m, shard); });
-        flats[i] = internal::FlattenTangent(local, grads);
-        losses[i] = {loss.ScalarValue()};
-        if (!options_.sequential) {
-          const std::int64_t total =
-              static_cast<std::int64_t>(flats[i].size());
-          if (inject) {
-            dist::ApplyCorruption(options_.faults, dist::CorruptPhase::kLocal,
-                                  rank, step, flats[i].data(), total, 0,
-                                  total);
-          }
-          if (guard) {
-            scan.emplace(total, guard_bucket_elems,
-                         options_.guard.check_finite);
-            for (std::int64_t b = 0; b < scan->num_buckets(); ++b) {
-              scan->ScanBucket(flats[i].data(), b);
-            }
-            scan->NoteScalar(losses[i][0]);
-          }
-          comm_.Run(rank,
-                    dist::CollectiveSpec::AllReduce(dist::ReduceOp::kMean),
-                    flats[i]);
-          if (inject) {
-            dist::ApplyCorruption(options_.faults,
-                                  dist::CorruptPhase::kAgreement, rank, step,
-                                  flats[i].data(), total, 0, total);
-          }
-          if (guard) {
-            post_digest = internal::GuardDigestBuckets(
-                flats[i].data(), total, guard_bucket_elems);
-          }
-          comm_.Run(rank,
-                    dist::CollectiveSpec::AllReduce(dist::ReduceOp::kMean),
-                    losses[i]);
-        }
+        stream.Finish(loss, losses[i], guard_bufs[i]);
+        // The sharded step's barrier closes GatherParams instead.
+        if (!plan.sharded) comm_.Barrier(rank);
       }
-      if (!options_.sequential) {
-        if (guard) {
-          // Exchange the 5-slot guard vector (finite flag + local/post
-          // digests) through one AllGather; every rank then holds the
-          // full world's verdicts and the caller judges rank 0's copy.
-          std::vector<float>& gbuf = guard_bufs[i];
-          gbuf.assign(
-              static_cast<std::size_t>(replicas_) * internal::kGuardSlots,
-              0.0f);
-          internal::FillGuardSlots(
-              gbuf.data() +
-                  static_cast<std::size_t>(rank) * internal::kGuardSlots,
-              scan->finite(), scan->Digest(), post_digest);
-          comm_.Run(rank, dist::CollectiveSpec::AllGather(guard_offsets),
-                    gbuf);
-        }
-        if (options_.step_barrier) comm_.Barrier(rank);
-      }
-      replica_seconds_[i] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        worker_start)
-              .count();
+      replica_seconds_[i] = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() -
+                                worker_start)
+                                .count();
     });
-    last_step_wall_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      step_start)
-            .count();
 
-    // Judge the exchanged guard vectors before any model/optimizer state
-    // is touched: a trip aborts the step with zero side effects here.
-    if (guard) {
-      internal::ThrowOnGuardTrip(internal::JudgeGuard(
-          guard_bufs[0], replicas_, options_.guard.vote_checksums));
-    }
-
-    std::vector<float> mean_grads;
     float mean_loss = 0.0f;
     if (options_.sequential) {
       // The reference reduction: the identical canonical tree the
       // communicator applies per chunk, over whole buffers.
-      mean_grads = dist::OrderedTreeReduceMean(std::move(flats));
+      flats = {dist::OrderedTreeReduceMean(std::move(flats))};
       mean_loss = dist::OrderedTreeReduceMean(std::move(losses))[0];
     } else {
-      // Every rank holds the identical reduced buffer; take rank 0's.
-      mean_grads = std::move(flats[0]);
+      // Judge the exchanged guard vectors before any model/optimizer
+      // state is touched: a trip aborts the step with zero side effects.
+      // The sharded step's agreement buffer is the gathered parameters,
+      // so its vote waits for GatherParams; only finite flags count here.
+      if (plan.guard) {
+        internal::ThrowOnGuardTrip(internal::JudgeGuard(
+            guard_bufs[0], replicas_,
+            !plan.sharded && options_.guard.vote_checksums));
+      }
+      // Every rank agreed on the reduced loss; take rank 0's.
       mean_loss = losses[0][0];
     }
+    GuardClipAndSpike(plan, flats, mean_loss);
 
-    GuardClipAndSpike(
-        {{mean_grads.data(), 0, static_cast<std::int64_t>(mean_grads.size())}},
-        mean_loss);
-
-    typename M::TangentVector mean_tangent{};
-    internal::UnflattenTangent(model, mean_tangent, mean_grads,
-                               ModelDevice(model));
-    optimizer.Update(model, mean_tangent);
+    if (plan.sharded) {
+      ZeroUpdate(model, optimizer, plan, flats);
+    } else {
+      // Every rank holds the identical reduced buffer; take rank 0's.
+      typename M::TangentVector mean_tangent{};
+      internal::UnflattenTangentSlots(model, mean_tangent, flats[0],
+                                      ModelDevice(model));
+      optimizer.Update(model, mean_tangent);
+    }
+    last_step_wall_seconds_ =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      step_start)
+            .count();
     return mean_loss;
   }
 
@@ -672,335 +453,69 @@ class ReplicaGroup {
   }
 
  private:
-  // The ZeRO-sharded TrainStep. Collective sequence per rank per step:
-  // reduce-scatter(grads), all-reduce(loss), all-gather(params), then the
-  // optional barrier — internal::CollectivesPerStep (session.cpp) must
-  // match, since it converts kill_at_step into a death seq.
-  template <ad::DifferentiableStruct M, typename Optimizer, typename LossFn>
-  float TrainStepSharded(M& model, Optimizer& optimizer,
-                         const std::vector<LabeledBatch>& shards,
-                         LossFn&& loss_fn) {
-    internal::ReplicaStepCounter().Increment();
-    internal::ZeroStepCounter().Increment();
-    obs::TraceSpan step_span("nn.replica_step.sharded", "dist", "replicas",
-                             replicas_);
-    const std::int64_t step = group_step_++;
-    const bool guard = options_.guard.enabled;
-    const bool inject =
-        options_.faults.corrupt_kind != dist::CorruptKind::kNone;
-
-    // Stage per-replica model copies and shards on the calling thread.
-    std::vector<M> locals;
-    locals.reserve(static_cast<std::size_t>(replicas_));
-    std::vector<LabeledBatch> local_shards;
-    local_shards.reserve(static_cast<std::size_t>(replicas_));
-    for (int r = 0; r < replicas_; ++r) {
-      const Device& dev = devices_[static_cast<std::size_t>(r)];
-      M local = model;
-      MoveModelTo(local, dev);
-      locals.push_back(std::move(local));
-      const LabeledBatch& shard = shards[static_cast<std::size_t>(r)];
-      local_shards.push_back(LabeledBatch{shard.images.To(dev),
-                                          shard.one_hot.To(dev),
-                                          shard.labels});
-    }
-
-    const internal::ZeroShardPlan zplan =
-        internal::MakeZeroShardPlan(model, replicas_);
-    const dist::CollectiveSpec rs_spec = dist::CollectiveSpec::ReduceScatter(
-        dist::ReduceOp::kMean, zplan.elem_offsets);
-
-    std::vector<std::vector<float>> flats(
-        static_cast<std::size_t>(replicas_));
-    std::vector<std::vector<float>> losses(
-        static_cast<std::size_t>(replicas_));
-
-    const bool overlap = options_.overlap;
-    internal::GradientBucketPlan plan;
-    if (overlap) {
-      plan = internal::MakeBucketPlan(model, options_.collective.bucket_bytes);
-    }
-
-    const std::int64_t guard_bucket_elems = std::max<std::int64_t>(
-        1, options_.collective.bucket_bytes /
-               static_cast<std::int64_t>(sizeof(float)));
-    std::vector<std::int64_t> guard_offsets;
-    std::vector<std::vector<float>> guard_bufs;
-    if (guard) {
-      guard_offsets = internal::GuardShardOffsets(replicas_);
-      guard_bufs.resize(static_cast<std::size_t>(replicas_));
-    }
-
-    // Region 1: per-replica forward/backward, gradient reduce-scatter
-    // (overlapped with the backward sweep when enabled — the bucket
-    // geometry is the all-reduce's, so the streaming submission plan
-    // carries over unchanged), and the loss all-reduce.
-    const auto step_start = std::chrono::steady_clock::now();
-    RunOnReplicas([&](int rank) {
-      obs::TraceSpan worker_span("nn.replica_worker", "dist", "rank", rank);
-      const auto worker_start = std::chrono::steady_clock::now();
-      const std::size_t i = static_cast<std::size_t>(rank);
-      M& local = locals[i];
-      const LabeledBatch& shard = local_shards[i];
-      std::optional<internal::LocalGuardScan> scan;
-      if (overlap) {
-        flats[i].assign(static_cast<std::size_t>(plan.total), 0.0f);
-        if (guard) {
-          scan.emplace(plan.total, plan.bucket_elems,
-                       options_.guard.check_finite);
-        }
-        auto handle = comm_.RunAsync(rank, rs_spec, flats[i]);
-        S4TF_CHECK_EQ(handle->num_buckets(), plan.num_buckets)
-            << "bucket plan disagrees with the communicator's geometry";
-        std::vector<std::int64_t> remaining = plan.params_in_bucket;
-        Tensor loss;
-        {
-          obs::TraceSpan backward_span("nn.replica_backward", "dist",
-                                       "rank", rank);
-          loss = ad::ValueWithGradientStreamed(
-              local, [&](const M& m) { return loss_fn(m, shard); },
-              [&](std::size_t p, const Tensor* grad) {
-                const std::int64_t off = plan.offsets[p];
-                const std::int64_t n = plan.sizes[p];
-                if (grad != nullptr && grad->NumElements() == n) {
-                  const std::vector<float> values = grad->ToVector();
-                  std::copy(values.begin(), values.end(),
-                            flats[i].begin() +
-                                static_cast<std::ptrdiff_t>(off));
-                }
-                if (n == 0) return;
-                const std::int64_t first = off / plan.bucket_elems;
-                const std::int64_t last = (off + n - 1) / plan.bucket_elems;
-                for (std::int64_t b = first; b <= last; ++b) {
-                  if (--remaining[static_cast<std::size_t>(b)] == 0) {
-                    if (inject) {
-                      dist::ApplyCorruption(
-                          options_.faults, dist::CorruptPhase::kLocal, rank,
-                          step, flats[i].data(), plan.total,
-                          b * plan.bucket_elems,
-                          std::min((b + 1) * plan.bucket_elems, plan.total));
-                    }
-                    if (scan) scan->ScanBucket(flats[i].data(), b);
-                    handle->SubmitBucket(b);
-                  }
-                }
-              });
-        }
-        handle->Wait();
-        losses[i] = {loss.ScalarValue()};
-      } else {
-        auto [loss, grads] = ad::ValueWithGradient(
-            local, [&](const M& m) { return loss_fn(m, shard); });
-        flats[i] = internal::FlattenTangent(local, grads);
-        losses[i] = {loss.ScalarValue()};
-        const std::int64_t total = static_cast<std::int64_t>(flats[i].size());
-        if (inject) {
-          dist::ApplyCorruption(options_.faults, dist::CorruptPhase::kLocal,
-                                rank, step, flats[i].data(), total, 0, total);
-        }
-        if (guard) {
-          scan.emplace(total, guard_bucket_elems, options_.guard.check_finite);
-          for (std::int64_t b = 0; b < scan->num_buckets(); ++b) {
-            scan->ScanBucket(flats[i].data(), b);
-          }
-        }
-        comm_.Run(rank, rs_spec, flats[i]);
-      }
-      if (guard) scan->NoteScalar(losses[i][0]);
-      comm_.Run(rank, dist::CollectiveSpec::AllReduce(dist::ReduceOp::kMean),
-                losses[i]);
-      if (guard) {
-        // First guard exchange: finite sentinels + local gradient digest.
-        // Local gradients legitimately differ across ranks, so nothing
-        // here is voted on — the caller judges finite flags only (the
-        // digest is carried for diagnostics and the world-1 self-check
-        // of the *parameter* exchange below covers silent corruption).
-        std::vector<float>& gbuf = guard_bufs[i];
-        gbuf.assign(
-            static_cast<std::size_t>(replicas_) * internal::kGuardSlots,
-            0.0f);
-        internal::FillGuardSlots(
-            gbuf.data() +
-                static_cast<std::size_t>(rank) * internal::kGuardSlots,
-            scan->finite(), scan->Digest(), /*post_digest=*/0);
-        comm_.Run(rank, dist::CollectiveSpec::AllGather(guard_offsets),
-                  gbuf);
-      }
-      replica_seconds_[i] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        worker_start)
-              .count();
-    });
-
-    // Judge the finite sentinels before any optimizer state is touched.
-    if (guard) {
-      internal::ThrowOnGuardTrip(
-          internal::JudgeGuard(guard_bufs[0], replicas_, /*vote=*/false));
-    }
-
-    // Clip/spike over the per-rank owned regions in rank order — the
-    // identical element order as the replicated full-buffer pass, so the
-    // double-accumulated norm (and therefore the clip scale) agrees
-    // bitwise with the replicated path.
-    {
-      std::vector<GuardRegion> regions;
-      regions.reserve(static_cast<std::size_t>(replicas_));
-      for (int r = 0; r < replicas_; ++r) {
-        regions.push_back(GuardRegion{
-            flats[static_cast<std::size_t>(r)].data(),
-            zplan.elem_offsets[static_cast<std::size_t>(r)],
-            zplan.elem_offsets[static_cast<std::size_t>(r) + 1]});
-      }
-      GuardClipAndSpike(regions, losses[0][0]);
-    }
-
-    // Caller thread: each rank's shard optimizer updates its own slice
-    // of the caller's model, in rank order — the same device and the
-    // same per-slot math as the replicated single Update, so parameters
-    // and optimizer state evolve bitwise-identically.
-    EnsureZeroOptimizers(optimizer, zplan);
-    for (int r = 0; r < replicas_; ++r) {
-      Optimizer& opt =
-          *std::static_pointer_cast<Optimizer>(
-              zero_opts_[static_cast<std::size_t>(r)]);
-      typename M::TangentVector tangent{};
-      internal::UnflattenTangentSlots(
-          model, tangent, flats[static_cast<std::size_t>(r)],
-          ModelDevice(model), zplan.shard_begin_slot(r),
-          zplan.shard_end_slot(r));
-      opt.UpdateSlots(model, tangent, zplan.shard_begin_slot(r),
-                      zplan.shard_end_slot(r));
-    }
-
-    // Gather-on-step: the caller's optimizer regains every rank's owned
-    // state slots (O(1) COW handle copies), so checkpoints taken from it
-    // are byte-identical to replicated-mode checkpoints.
-    zero_state_bytes_.assign(static_cast<std::size_t>(replicas_), 0);
-    for (int r = 0; r < replicas_; ++r) {
-      Optimizer& opt =
-          *std::static_pointer_cast<Optimizer>(
-              zero_opts_[static_cast<std::size_t>(r)]);
-      CopyOptimizerStateSlots(opt, optimizer, zplan.shard_begin_slot(r),
-                              zplan.shard_end_slot(r));
-      zero_state_bytes_[static_cast<std::size_t>(r)] =
-          OptimizerStateBytes(opt);
-      internal::ZeroStateBytesGauge().SetMax(
-          zero_state_bytes_[static_cast<std::size_t>(r)]);
-    }
-
-    // Region 2: all-gather the updated parameters. Each rank contributes
-    // only its own shard (the rest of its buffer starts zeroed), so the
-    // gather transports every byte for real; the caller's parameters are
-    // then rebound from rank 0's gathered buffer.
-    const std::vector<float> updated = internal::FlattenParams(model);
-    std::vector<std::vector<float>> bufs(
-        static_cast<std::size_t>(replicas_));
-    for (int r = 0; r < replicas_; ++r) {
-      std::vector<float>& buf = bufs[static_cast<std::size_t>(r)];
-      buf.assign(static_cast<std::size_t>(zplan.total), 0.0f);
-      const std::int64_t begin =
-          zplan.elem_offsets[static_cast<std::size_t>(r)];
-      const std::int64_t end =
-          zplan.elem_offsets[static_cast<std::size_t>(r) + 1];
-      std::copy(updated.begin() + static_cast<std::ptrdiff_t>(begin),
-                updated.begin() + static_cast<std::ptrdiff_t>(end),
-                buf.begin() + static_cast<std::ptrdiff_t>(begin));
-    }
-    const dist::CollectiveSpec ag_spec =
-        dist::CollectiveSpec::AllGather(zplan.elem_offsets);
-    RunOnReplicas([&](int rank) {
-      const std::size_t i = static_cast<std::size_t>(rank);
-      // Second guard exchange: the gathered parameter buffer is the
-      // sharded step's agreement buffer — every rank must hold it
-      // bitwise identically, so its digest is what the majority vote
-      // judges. The pre digest (the rank's contributed buffer) feeds the
-      // world-1 self-check, where contribution and gather coincide.
-      std::uint32_t pre_digest = 0;
-      if (guard) {
-        pre_digest = internal::GuardDigestBuckets(
-            bufs[i].data(), zplan.total, guard_bucket_elems);
-      }
-      comm_.Run(rank, ag_spec, bufs[i]);
-      if (inject) {
-        dist::ApplyCorruption(options_.faults, dist::CorruptPhase::kAgreement,
-                              rank, step, bufs[i].data(), zplan.total, 0,
-                              zplan.total);
-      }
-      if (guard) {
-        const std::uint32_t post_digest = internal::GuardDigestBuckets(
-            bufs[i].data(), zplan.total, guard_bucket_elems);
-        std::vector<float>& gbuf = guard_bufs[i];
-        gbuf.assign(
-            static_cast<std::size_t>(replicas_) * internal::kGuardSlots,
-            0.0f);
-        internal::FillGuardSlots(
-            gbuf.data() +
-                static_cast<std::size_t>(rank) * internal::kGuardSlots,
-            /*finite=*/true, pre_digest, post_digest);
-        comm_.Run(rank, dist::CollectiveSpec::AllGather(guard_offsets),
-                  gbuf);
-      }
-      if (options_.step_barrier) comm_.Barrier(rank);
-    });
-    // The checksum vote fires before the gathered parameters are written
-    // back; a tripped step may have advanced optimizer state (UpdateSlots
-    // above), but rollback-and-skip is the recovery contract, not
-    // mid-step atomicity.
-    if (guard) {
-      internal::ThrowOnGuardTrip(internal::JudgeGuard(
-          guard_bufs[0], replicas_, options_.guard.vote_checksums));
-    }
-    internal::WriteParams(model, bufs[0], ModelDevice(model));
-
-    last_step_wall_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      step_start)
-            .count();
-    return losses[0][0];
-  }
-
-  // One contiguous slice of the canonical flattened gradient buffer.
-  struct GuardRegion {
-    float* data;          // buffer the slice lives in (full geometry)
-    std::int64_t begin;   // element range [begin, end) within it
-    std::int64_t end;
-  };
+  // Counts the step, advances the group-local step index, and builds
+  // the plan every rank shares.
+  internal::StepPlan BeginStep(internal::ParamLayout layout);
 
   // Caller-side anomaly stage, shared by every mode: global-norm
-  // clipping and the loss/grad-norm spike detector. `regions` concatenate
-  // — in call order — to the canonical flattened gradient buffer
-  // (replicated and sequential: one full region; sharded: per-rank owned
-  // regions in rank order), so the double accumulation visits elements
-  // in the identical order for every layout and the verdict/scale agree
-  // bitwise across modes. Runs after the reduction, before any update.
-  void GuardClipAndSpike(const std::vector<GuardRegion>& regions,
-                         float loss) {
-    if (!options_.guard.enabled) return;
-    if (options_.guard.clip_global_norm <= 0.0f &&
-        options_.guard.spike_factor <= 0.0f) {
-      return;
+  // clipping and the loss/grad-norm spike detector over the reduced
+  // gradients — flats[0] whole (replicated and sequential), or each
+  // rank's owned region of flats[r] in rank order (sharded). Both
+  // layouts concatenate to the canonical flattened buffer, so the double
+  // accumulation visits elements in the identical order and the
+  // verdict/scale agree bitwise across modes. Runs after the reduction,
+  // before any update.
+  void GuardClipAndSpike(const internal::StepPlan& plan,
+                         std::vector<std::vector<float>>& flats, float loss);
+
+  // The ZeRO update: each rank's shard optimizer updates its own slice of
+  // the caller's model, in rank order on the calling thread — the same
+  // device and the same per-slot math as the replicated single Update, so
+  // parameters and optimizer state evolve bitwise-identically. Then
+  // gather-on-step: the caller's optimizer regains every rank's owned
+  // state slots (O(1) COW handle copies), so checkpoints taken from it
+  // are byte-identical to replicated-mode checkpoints. Finally the
+  // updated parameters travel the all-gather and are rebound from rank
+  // 0's gathered buffer.
+  template <ad::DifferentiableStruct M, typename Optimizer>
+  void ZeroUpdate(M& model, Optimizer& optimizer,
+                  const internal::StepPlan& plan,
+                  const std::vector<std::vector<float>>& flats) {
+    const internal::ZeroShardPlan& shards = plan.shards;
+    EnsureZeroOptimizers(optimizer, shards);
+    zero_state_bytes_.assign(static_cast<std::size_t>(replicas_), 0);
+    for (int r = 0; r < replicas_; ++r) {
+      const std::size_t i = static_cast<std::size_t>(r);
+      Optimizer& opt = *std::static_pointer_cast<Optimizer>(zero_opts_[i]);
+      typename M::TangentVector tangent{};
+      internal::UnflattenTangentSlots(model, tangent, flats[i],
+                                      ModelDevice(model),
+                                      shards.shard_begin_slot(r),
+                                      shards.shard_end_slot(r));
+      opt.UpdateSlots(model, tangent, shards.shard_begin_slot(r),
+                      shards.shard_end_slot(r));
+      CopyOptimizerStateSlots(opt, optimizer, shards.shard_begin_slot(r),
+                              shards.shard_end_slot(r));
+      zero_state_bytes_[i] = OptimizerStateBytes(opt);
+      NoteZeroStateBytes(zero_state_bytes_[i]);
     }
-    double acc = 0.0;
-    for (const GuardRegion& region : regions) {
-      acc = internal::GuardSqNormAccumulate(region.data, region.begin,
-                                            region.end, acc);
-    }
-    const double norm = std::sqrt(acc);
-    if (internal::GuardSpikeCheck(guard_ema_, options_.guard,
-                                  static_cast<double>(loss), norm)) {
-      internal::ThrowOnGuardTrip(internal::GuardVerdict{
-          internal::GuardTripReason::kSpike, /*rank=*/-1});
-    }
-    const float scale =
-        internal::GuardClipScale(norm, options_.guard.clip_global_norm);
-    if (scale != 1.0f) {
-      for (const GuardRegion& region : regions) {
-        for (std::int64_t e = region.begin; e < region.end; ++e) {
-          region.data[static_cast<std::size_t>(e)] *= scale;
-        }
-      }
-    }
+    internal::WriteParams(model,
+                          GatherParams(plan, internal::FlattenParams(model)),
+                          ModelDevice(model));
   }
+
+  // The sharded step's second parallel region: every rank contributes
+  // only its own shard of `updated` (the rest of its buffer starts
+  // zeroed, so the gather transports every byte for real), all-gathers,
+  // and — guard on — exchanges the gathered buffer's digest for the
+  // checksum vote, then meets the step barrier. Returns rank 0's
+  // gathered buffer once the vote passes.
+  std::vector<float> GatherParams(const internal::StepPlan& plan,
+                                  const std::vector<float>& updated);
+
+  // Records one rank's sharded optimizer-state footprint in the
+  // nn.zero.opt_state_bytes gauge.
+  static void NoteZeroStateBytes(std::int64_t bytes);
 
   // Lazily builds the per-rank shard optimizers by copying the caller's
   // optimizer (O(1): state tensors are COW handles) and trimming each

@@ -36,24 +36,6 @@ std::chrono::milliseconds BackoffDelay(std::chrono::milliseconds base,
       static_cast<std::int64_t>(std::min(ms, kCapMs))};
 }
 
-int CollectivesPerStep(const ReplicaGroupOptions& options) {
-  // Replicated: gradient all-reduce + loss all-reduce. Sharded: gradient
-  // reduce-scatter + loss all-reduce + parameter all-gather. The guard
-  // (when enabled) appends its digest-exchange all-gathers: one for the
-  // replicated step, two for the sharded step (finite sentinels after
-  // the loss all-reduce, checksum vote after the parameter all-gather).
-  // Then the optional step barrier (see ReplicaGroup::TrainStep /
-  // TrainStepSharded). Every rank consumes exactly this many sequence
-  // numbers per step, which is what makes the step -> death_seq
-  // translation exact.
-  const bool sharded = options.sharded && !options.sequential;
-  int collectives = sharded ? 3 : 2;
-  if (options.guard.enabled && !options.sequential) {
-    collectives += sharded ? 2 : 1;
-  }
-  return collectives + (options.step_barrier ? 1 : 0);
-}
-
 }  // namespace internal
 
 namespace {

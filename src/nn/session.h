@@ -153,10 +153,6 @@ struct SessionMetrics {
 std::chrono::milliseconds BackoffDelay(std::chrono::milliseconds base,
                                        double multiplier, int attempt);
 
-// Collectives one TrainStep issues per rank (gradient + loss all-reduce,
-// plus the optional step barrier) — the step -> death_seq conversion.
-int CollectivesPerStep(const ReplicaGroupOptions& options);
-
 }  // namespace internal
 
 // Rotated directory of durable TrainingState checkpoints. Non-template

@@ -1,9 +1,8 @@
-// A minimal JSON parser shared by the bench-reporting tools and the test
-// suite (originally tests/obs/json_mini.h; promoted so bench_compare can
-// parse committed BENCH_*.json artifacts). Recursive descent over the full
-// value grammar (objects, arrays, strings with escapes, numbers,
-// true/false/null). No external dependencies by design — the repo builds
-// hermetically.
+// A minimal JSON parser shared by the bench-reporting tools (bench_compare
+// parses the committed BENCH_*.json artifacts with it) and the test
+// suite. Recursive descent over the full value grammar (objects, arrays,
+// strings with escapes, numbers, true/false/null). No external
+// dependencies by design — the repo builds hermetically.
 #pragma once
 
 #include <cctype>

@@ -67,8 +67,8 @@ TEST(ReduceScatterTest, OwnShardMatchesTreeReferenceBitwise) {
     RingCommunicator comm(world);
     std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
     RunRanks(world, [&](int rank) {
-      comm.ReduceScatter(rank, buffers[static_cast<std::size_t>(rank)],
-                         ReduceOp::kSum);
+      comm.Run(rank, CollectiveSpec::ReduceScatter(ReduceOp::kSum),
+               buffers[static_cast<std::size_t>(rank)]);
     });
     for (int r = 0; r < world; ++r) {
       for (std::int64_t i = offsets[static_cast<std::size_t>(r)];
@@ -92,8 +92,8 @@ TEST(ReduceScatterTest, MeanMatchesTreeReferenceBitwise) {
   RingCommunicator comm(world);
   std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
-    comm.ReduceScatter(rank, buffers[static_cast<std::size_t>(rank)],
-                       ReduceOp::kMean);
+    comm.Run(rank, CollectiveSpec::ReduceScatter(ReduceOp::kMean),
+             buffers[static_cast<std::size_t>(rank)]);
   });
   for (int r = 0; r < world; ++r) {
     for (std::int64_t i = offsets[static_cast<std::size_t>(r)];
@@ -136,7 +136,8 @@ TEST(AllGatherTest, BroadcastsEveryOwnersShard) {
       }
     }
     RunRanks(world, [&](int rank) {
-      comm.AllGather(rank, buffers[static_cast<std::size_t>(rank)]);
+      comm.Run(rank, CollectiveSpec::AllGather(),
+               buffers[static_cast<std::size_t>(rank)]);
     });
     for (int r = 0; r < world; ++r) {
       if (world == 1) continue;  // nothing to transport
@@ -160,7 +161,8 @@ TEST(CollectiveTest, ReduceScatterThenAllGatherEqualsAllReduceBitwise) {
         RingCommunicator ar_comm(world, options);
         std::vector<std::vector<float>> ar = AllRankInputs(world, len);
         RunRanks(world, [&](int rank) {
-          ar_comm.AllReduce(rank, ar[static_cast<std::size_t>(rank)], op);
+          ar_comm.Run(rank, CollectiveSpec::AllReduce(op),
+                      ar[static_cast<std::size_t>(rank)]);
         });
 
         RingCommunicator comm(world, options);
@@ -168,8 +170,8 @@ TEST(CollectiveTest, ReduceScatterThenAllGatherEqualsAllReduceBitwise) {
             AllRankInputs(world, len);
         RunRanks(world, [&](int rank) {
           std::vector<float>& buf = composed[static_cast<std::size_t>(rank)];
-          comm.ReduceScatter(rank, buf, op);
-          comm.AllGather(rank, buf);
+          comm.Run(rank, CollectiveSpec::ReduceScatter(op), buf);
+          comm.Run(rank, CollectiveSpec::AllGather(), buf);
         });
         for (int r = 0; r < world; ++r) {
           ASSERT_EQ(composed[static_cast<std::size_t>(r)],
@@ -195,8 +197,8 @@ TEST(CollectiveTest, CustomShardOffsetsRespected) {
   std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
     std::vector<float>& buf = buffers[static_cast<std::size_t>(rank)];
-    comm.ReduceScatter(rank, buf, ReduceOp::kSum, offsets);
-    comm.AllGather(rank, buf, offsets);
+    comm.Run(rank, CollectiveSpec::ReduceScatter(ReduceOp::kSum, offsets), buf);
+    comm.Run(rank, CollectiveSpec::AllGather(offsets), buf);
   });
   for (int r = 0; r < world; ++r) {
     ASSERT_EQ(buffers[static_cast<std::size_t>(r)], expected) << "rank " << r;
@@ -208,17 +210,23 @@ TEST(CollectiveTest, MalformedShardOffsetsFailLoudly) {
   RingCommunicator comm(1);
   std::vector<float> data = RankInput(0, len);
   // Wrong arity (world+1 entries required).
-  EXPECT_THROW(comm.ReduceScatter(0, data, ReduceOp::kSum, {0}),
+  EXPECT_THROW(comm.Run(0, CollectiveSpec::ReduceScatter(ReduceOp::kSum, {0}),
+                        data),
                InternalError);
   // back() must equal the buffer length.
-  EXPECT_THROW(comm.ReduceScatter(0, data, ReduceOp::kSum, {0, 15}),
+  EXPECT_THROW(comm.Run(0,
+                        CollectiveSpec::ReduceScatter(ReduceOp::kSum, {0, 15}),
+                        data),
                InternalError);
   // front() must be 0.
-  EXPECT_THROW(comm.AllGather(0, data, {1, 16}), InternalError);
+  EXPECT_THROW(comm.Run(0, CollectiveSpec::AllGather({1, 16}), data),
+               InternalError);
   // Offsets must be nondecreasing.
   RingCommunicator comm2(2);
   std::vector<float> data2 = RankInput(0, len);
-  EXPECT_THROW(comm2.ReduceScatter(0, data2, ReduceOp::kSum, {0, 12, 8}),
+  EXPECT_THROW(
+      comm2.Run(0, CollectiveSpec::ReduceScatter(ReduceOp::kSum, {0, 12, 8}),
+                data2),
                InternalError);
 }
 
@@ -228,8 +236,8 @@ TEST(CollectiveTest, ZeroLengthBufferIsANoOpForEveryKind) {
   std::vector<std::vector<float>> buffers(2);
   RunRanks(world, [&](int rank) {
     std::vector<float>& buf = buffers[static_cast<std::size_t>(rank)];
-    comm.ReduceScatter(rank, buf, ReduceOp::kSum);
-    comm.AllGather(rank, buf);
+    comm.Run(rank, CollectiveSpec::ReduceScatter(ReduceOp::kSum), buf);
+    comm.Run(rank, CollectiveSpec::AllGather(), buf);
     comm.Barrier(rank);
   });
   EXPECT_TRUE(buffers[0].empty());
@@ -247,8 +255,8 @@ TEST(CollectiveTest, WorldLargerThanBufferLeavesTrailingShardsEmpty) {
   std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
     std::vector<float>& buf = buffers[static_cast<std::size_t>(rank)];
-    comm.ReduceScatter(rank, buf, ReduceOp::kSum);
-    comm.AllGather(rank, buf);
+    comm.Run(rank, CollectiveSpec::ReduceScatter(ReduceOp::kSum), buf);
+    comm.Run(rank, CollectiveSpec::AllGather(), buf);
   });
   for (int r = 0; r < world; ++r) {
     ASSERT_EQ(buffers[static_cast<std::size_t>(r)], expected) << "rank " << r;
@@ -267,20 +275,21 @@ TEST(CollectiveTest, AsyncShardedCollectivesMatchSyncBitwise) {
   std::vector<std::vector<float>> sync_bufs = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
     std::vector<float>& buf = sync_bufs[static_cast<std::size_t>(rank)];
-    sync_comm.ReduceScatter(rank, buf, ReduceOp::kMean);
-    sync_comm.AllGather(rank, buf);
+    sync_comm.Run(rank, CollectiveSpec::ReduceScatter(ReduceOp::kMean), buf);
+    sync_comm.Run(rank, CollectiveSpec::AllGather(), buf);
   });
 
   RingCommunicator comm(world, options);
   std::vector<std::vector<float>> bufs = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
     std::vector<float>& buf = bufs[static_cast<std::size_t>(rank)];
-    auto rs = comm.ReduceScatterAsync(rank, buf, ReduceOp::kMean);
+    auto rs = comm.RunAsync(
+        rank, CollectiveSpec::ReduceScatter(ReduceOp::kMean), buf);
     for (std::int64_t b = 0; b < rs->num_buckets(); ++b) {
       rs->SubmitBucket(b);
     }
     rs->Wait();
-    auto ag = comm.AllGatherAsync(rank, buf);
+    auto ag = comm.RunAsync(rank, CollectiveSpec::AllGather(), buf);
     ag->Wait();  // Wait() submits whatever was never handed over
   });
   for (int r = 0; r < world; ++r) {
@@ -288,30 +297,6 @@ TEST(CollectiveTest, AsyncShardedCollectivesMatchSyncBitwise) {
               sync_bufs[static_cast<std::size_t>(r)])
         << "rank " << r;
   }
-}
-
-TEST(CollectiveTest, LegacyAllReduceWrapperForwardsToRun) {
-  // The historical AllReduce(rank, data, op) signature is a pure
-  // forwarder: same bytes as the spec-based Run.
-  const int world = 3;
-  const std::size_t len = 97;
-  RingCommunicator via_wrapper(world);
-  std::vector<std::vector<float>> wrapped = AllRankInputs(world, len);
-  RunRanks(world, [&](int rank) {
-    via_wrapper.AllReduce(rank, wrapped[static_cast<std::size_t>(rank)],
-                          ReduceOp::kSum);
-  });
-  RingCommunicator via_run(world);
-  std::vector<std::vector<float>> ran = AllRankInputs(world, len);
-  RunRanks(world, [&](int rank) {
-    const CollectiveResult result = via_run.Run(
-        rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
-        ran[static_cast<std::size_t>(rank)]);
-    EXPECT_EQ(result.bytes,
-              static_cast<std::int64_t>(len * sizeof(float)));
-    EXPECT_GT(result.buckets, 0);
-  });
-  EXPECT_EQ(wrapped, ran);
 }
 
 TEST(CollectiveTest, ShardedCollectivesCountSeparately) {
@@ -325,8 +310,8 @@ TEST(CollectiveTest, ShardedCollectivesCountSeparately) {
   std::vector<std::vector<float>> bufs = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
     std::vector<float>& buf = bufs[static_cast<std::size_t>(rank)];
-    comm.ReduceScatter(rank, buf, ReduceOp::kSum);
-    comm.AllGather(rank, buf);
+    comm.Run(rank, CollectiveSpec::ReduceScatter(ReduceOp::kSum), buf);
+    comm.Run(rank, CollectiveSpec::AllGather(), buf);
   });
   const auto delta =
       obs::MetricsRegistry::Global().Snapshot().CounterDeltaSince(before);
@@ -369,16 +354,16 @@ TEST(CollectiveTest, ShardedCollectivesChargeAttachedAccelerators) {
 
   const double ar = charged([](RingCommunicator& c, int rank,
                                std::vector<float>& buf) {
-    c.AllReduce(rank, buf, ReduceOp::kSum);
+    c.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum), buf);
   });
   const double rs = charged([](RingCommunicator& c, int rank,
                                std::vector<float>& buf) {
-    c.ReduceScatter(rank, buf, ReduceOp::kSum);
+    c.Run(rank, CollectiveSpec::ReduceScatter(ReduceOp::kSum), buf);
   });
   const double ag = charged([](RingCommunicator& c, int rank,
                                std::vector<float>& buf) {
     std::vector<float> own = buf;
-    c.AllGather(rank, own);
+    c.Run(rank, CollectiveSpec::AllGather(), own);
   });
   EXPECT_GT(rs, 0.0);
   EXPECT_GT(ag, 0.0);
@@ -404,8 +389,8 @@ TEST(CollectiveTest, HierarchicalTopologyChangesOnlyTheChargedClock) {
     }
     std::vector<std::vector<float>> bufs = AllRankInputs(world, len);
     RunRanks(world, [&](int rank) {
-      comm.AllReduce(rank, bufs[static_cast<std::size_t>(rank)],
-                     ReduceOp::kSum);
+      comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+               bufs[static_cast<std::size_t>(rank)]);
     });
     return std::make_pair(bufs, accels[0]->elapsed_seconds());
   };

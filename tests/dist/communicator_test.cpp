@@ -69,8 +69,8 @@ TEST(RingCommunicatorTest, SumMatchesTreeReferenceBitwise) {
     RingCommunicator comm(world);
     std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
     RunRanks(world, [&](int rank) {
-      comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                     ReduceOp::kSum);
+      comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+               buffers[static_cast<std::size_t>(rank)]);
     });
     for (int r = 0; r < world; ++r) {
       ASSERT_EQ(buffers[static_cast<std::size_t>(r)].size(), len);
@@ -90,8 +90,8 @@ TEST(RingCommunicatorTest, MeanMatchesTreeReferenceBitwise) {
   RingCommunicator comm(world);
   std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
-    comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                   ReduceOp::kMean);
+    comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kMean),
+             buffers[static_cast<std::size_t>(rank)]);
   });
   for (int r = 0; r < world; ++r) {
     for (std::size_t i = 0; i < len; ++i) {
@@ -113,8 +113,8 @@ TEST(RingCommunicatorTest, ResultInvariantToBucketSize) {
     RingCommunicator comm(world, options);
     std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
     RunRanks(world, [&](int rank) {
-      comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                     ReduceOp::kSum);
+      comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+               buffers[static_cast<std::size_t>(rank)]);
     });
     for (int r = 0; r < world; ++r) {
       for (std::size_t i = 0; i < len; ++i) {
@@ -129,9 +129,10 @@ TEST(RingCommunicatorTest, WorldOfOneIsIdentityForSum) {
   RingCommunicator comm(1);
   std::vector<float> data = RankInput(0, 57);
   const std::vector<float> original = data;
-  comm.AllReduce(0, data, ReduceOp::kSum);
+  comm.Run(0, CollectiveSpec::AllReduce(ReduceOp::kSum), data);
   EXPECT_EQ(data, original);
-  comm.AllReduce(0, data, ReduceOp::kMean);  // mean over 1 scales by 1.0f
+  // Mean over 1 scales by 1.0f.
+  comm.Run(0, CollectiveSpec::AllReduce(ReduceOp::kMean), data);
   EXPECT_EQ(data, original);
   comm.Barrier(0);  // trivially passes
 }
@@ -160,8 +161,8 @@ TEST(RingCommunicatorTest, EmptyBufferIsANoOp) {
   RingCommunicator comm(world);
   std::vector<std::vector<float>> buffers(2);
   RunRanks(world, [&](int rank) {
-    comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                   ReduceOp::kSum);
+    comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+             buffers[static_cast<std::size_t>(rank)]);
     comm.Barrier(rank);
   });
   EXPECT_TRUE(buffers[0].empty());
@@ -181,8 +182,8 @@ TEST(RingCommunicatorTest, ChargesAttachedAcceleratorsPerChunk) {
   }
   std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
-    comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                   ReduceOp::kSum);
+    comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+             buffers[static_cast<std::size_t>(rank)]);
   });
   // Each bucket of 128 elems splits into 4 chunks of 32 elems = 128
   // bytes; every rank charges each non-empty chunk of each bucket. The
@@ -210,8 +211,8 @@ TEST(RingCommunicatorTest, CountersAreDeterministic) {
     std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
     const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
     RunRanks(world, [&](int rank) {
-      comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                     ReduceOp::kSum);
+      comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+               buffers[static_cast<std::size_t>(rank)]);
       comm.Barrier(rank);
     });
     const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
@@ -245,8 +246,9 @@ TEST(AsyncAllReduceTest, MatchesTreeReferenceBitwiseAnySubmissionOrder) {
     RingCommunicator comm(world, options);
     std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
     RunRanks(world, [&](int rank) {
-      auto handle = comm.AllReduceAsync(
-          rank, buffers[static_cast<std::size_t>(rank)], ReduceOp::kSum);
+      auto handle = comm.RunAsync(rank,
+                                  CollectiveSpec::AllReduce(ReduceOp::kSum),
+                                  buffers[static_cast<std::size_t>(rank)]);
       ASSERT_EQ(handle->num_buckets(),
                 NumAllReduceBuckets(static_cast<std::int64_t>(len),
                                     options.bucket_bytes));
@@ -278,8 +280,8 @@ TEST(AsyncAllReduceTest, WaitAloneFlushesEveryBucket) {
   const obs::MetricsSnapshot before =
       obs::MetricsRegistry::Global().Snapshot();
   RunRanks(world, [&](int rank) {
-    auto handle = comm.AllReduceAsync(
-        rank, buffers[static_cast<std::size_t>(rank)], ReduceOp::kSum);
+    auto handle = comm.RunAsync(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+                                buffers[static_cast<std::size_t>(rank)]);
     handle->Wait();
   });
   const auto delta =
@@ -296,8 +298,8 @@ TEST(AsyncAllReduceTest, WaitAloneFlushesEveryBucket) {
 }
 
 TEST(AsyncAllReduceTest, ConsumesOneSeqAndInteroperatesWithSync) {
-  // AllReduceAsync occupies exactly one slot in the per-rank collective
-  // sequence, so a following synchronous AllReduce on the same
+  // An async all-reduce occupies exactly one slot in the per-rank
+  // collective sequence, so a following synchronous Run on the same
   // communicator still lines up across ranks.
   const int world = 2;
   const std::size_t len = 50;
@@ -308,9 +310,10 @@ TEST(AsyncAllReduceTest, ConsumesOneSeqAndInteroperatesWithSync) {
   std::vector<std::vector<float>> second = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
     const std::size_t i = static_cast<std::size_t>(rank);
-    auto handle = comm.AllReduceAsync(rank, first[i], ReduceOp::kSum);
+    auto handle = comm.RunAsync(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+                                first[i]);
     handle->Wait();
-    comm.AllReduce(rank, second[i], ReduceOp::kSum);
+    comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum), second[i]);
   });
   for (int r = 0; r < world; ++r) {
     EXPECT_EQ(first[static_cast<std::size_t>(r)], expected);
@@ -337,8 +340,8 @@ TEST(AsyncAllReduceTest, RecoversFromInjectedDropsBitwise) {
   RingCommunicator comm(world, options, plan);
   std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
-    auto handle = comm.AllReduceAsync(
-        rank, buffers[static_cast<std::size_t>(rank)], ReduceOp::kSum);
+    auto handle = comm.RunAsync(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+                                buffers[static_cast<std::size_t>(rank)]);
     for (std::int64_t b = 0; b < handle->num_buckets(); ++b) {
       handle->SubmitBucket(b);
     }
@@ -369,12 +372,14 @@ TEST(AsyncAllReduceTest, AbandonedHandleFailsPeersLoudlyWithoutHanging) {
   RunRanks(world, [&](int rank) {
     const std::size_t i = static_cast<std::size_t>(rank);
     if (rank == 0) {
-      auto handle = comm.AllReduceAsync(rank, buffers[i], ReduceOp::kSum);
+      auto handle = comm.RunAsync(rank,
+                                  CollectiveSpec::AllReduce(ReduceOp::kSum),
+                                  buffers[i]);
       // Dropped on the floor: simulates the backward pass throwing
       // before any bucket was ready.
     } else {
       try {
-        comm.AllReduce(rank, buffers[i], ReduceOp::kSum);
+        comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum), buffers[i]);
       } catch (const InternalError&) {
         peer_failures.fetch_add(1);
       }
@@ -385,7 +390,7 @@ TEST(AsyncAllReduceTest, AbandonedHandleFailsPeersLoudlyWithoutHanging) {
 
 TEST(AsyncAllReduceTest, DyingRankThrowsAtEntryAndPendingWaitFailsLoudly) {
   // Seeded replica death under the async path: the dying rank throws
-  // ReplicaDeadError from AllReduceAsync itself (before a handle ever
+  // ReplicaDeadError from RunAsync itself (before a handle ever
   // exists, so nothing is ever sent), and the surviving rank's Wait()
   // surfaces the retry-budget failure the sync path would have thrown.
   const int world = 2;
@@ -403,13 +408,17 @@ TEST(AsyncAllReduceTest, DyingRankThrowsAtEntryAndPendingWaitFailsLoudly) {
     const std::size_t i = static_cast<std::size_t>(rank);
     if (rank == 1) {
       try {
-        auto handle = comm.AllReduceAsync(rank, buffers[i], ReduceOp::kSum);
+        auto handle = comm.RunAsync(rank,
+                                    CollectiveSpec::AllReduce(ReduceOp::kSum),
+                                    buffers[i]);
         handle->Wait();
       } catch (const ReplicaDeadError&) {
         dead.fetch_add(1);
       }
     } else {
-      auto handle = comm.AllReduceAsync(rank, buffers[i], ReduceOp::kSum);
+      auto handle = comm.RunAsync(rank,
+                                  CollectiveSpec::AllReduce(ReduceOp::kSum),
+                                  buffers[i]);
       for (std::int64_t b = 0; b < handle->num_buckets(); ++b) {
         handle->SubmitBucket(b);
       }
@@ -443,7 +452,8 @@ TEST(AsyncAllReduceTest, BaseClassFallbackRunsSynchronouslyInWait) {
   };
   CountingIdentity comm;
   std::vector<float> data = RankInput(0, 8);
-  auto handle = comm.AllReduceAsync(0, data, ReduceOp::kSum);
+  auto handle =
+      comm.RunAsync(0, CollectiveSpec::AllReduce(ReduceOp::kSum), data);
   EXPECT_EQ(handle->num_buckets(), 1);
   handle->SubmitBucket(0);  // accepted; the work still happens in Wait()
   EXPECT_EQ(comm.calls, 0);
@@ -451,7 +461,8 @@ TEST(AsyncAllReduceTest, BaseClassFallbackRunsSynchronouslyInWait) {
   EXPECT_EQ(comm.calls, 1);
 
   std::vector<float> empty;
-  auto empty_handle = comm.AllReduceAsync(0, empty, ReduceOp::kSum);
+  auto empty_handle =
+      comm.RunAsync(0, CollectiveSpec::AllReduce(ReduceOp::kSum), empty);
   EXPECT_EQ(empty_handle->num_buckets(), 0);
   empty_handle->Wait();
   // An empty buffer has no buckets to submit, but the collective call

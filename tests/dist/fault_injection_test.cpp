@@ -83,8 +83,8 @@ TEST(FaultInjectionTest, EveryMessageDroppedOnceStillReducesExactly) {
   RingCommunicator comm(world, options, plan);
   std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
-    comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                   ReduceOp::kSum);
+    comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+             buffers[static_cast<std::size_t>(rank)]);
   });
   const auto delta = obs::MetricsRegistry::Global()
                          .Snapshot()
@@ -119,8 +119,8 @@ TEST(FaultInjectionTest, FaultyRunIsBitIdenticalToFaultFreeRun) {
     RingCommunicator comm(world, options, run_plan);
     std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
     RunRanks(world, [&](int rank) {
-      comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                     ReduceOp::kMean);
+      comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kMean),
+               buffers[static_cast<std::size_t>(rank)]);
     });
     return buffers;
   };
@@ -147,8 +147,8 @@ TEST(FaultInjectionTest, StragglerDelaysAreRecordedAndRecovered) {
   RingCommunicator comm(world, options, plan);
   std::vector<std::vector<float>> buffers = AllRankInputs(world, len);
   RunRanks(world, [&](int rank) {
-    comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                   ReduceOp::kSum);
+    comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+             buffers[static_cast<std::size_t>(rank)]);
     comm.Barrier(rank);
   });
   const auto delta = obs::MetricsRegistry::Global()
@@ -183,8 +183,8 @@ TEST(FaultInjectionTest, ExhaustedRetryBudgetFailsLoudlyOnEveryRank) {
   // the bounded timeout guarantees termination.
   RunRanks(world, [&](int rank) {
     try {
-      comm.AllReduce(rank, buffers[static_cast<std::size_t>(rank)],
-                     ReduceOp::kSum);
+      comm.Run(rank, CollectiveSpec::AllReduce(ReduceOp::kSum),
+               buffers[static_cast<std::size_t>(rank)]);
     } catch (const InternalError&) {
       failures.fetch_add(1);
     }

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 #include <vector>
 
-#include "nn/data_parallel.h"
 #include "nn/models/lenet.h"
 #include "nn/optimizers.h"
 #include "nn/training.h"
@@ -52,8 +51,9 @@ class ReplicaGroupTest : public ::testing::Test {
 
 TEST_F(ReplicaGroupTest, ThreadedMatchesSequentialReferenceBitwise) {
   // The acceptance criterion: for every replica count x intra-op thread
-  // count x overlap mode, the threaded collective produces bit-identical
-  // weights and loss to the sequential reference.
+  // count, the threaded step (gradients streamed into the collective
+  // during the backward pass) produces bit-identical weights and loss to
+  // the sequential reference.
   for (const int replicas : {1, 2, 4, 8}) {
     ReplicaGroupOptions reference;
     reference.sequential = true;
@@ -61,17 +61,11 @@ TEST_F(ReplicaGroupTest, ThreadedMatchesSequentialReferenceBitwise) {
     const StepResult expected = RunStep(replicas, reference);
     for (const int threads : {1, 2, 4}) {
       SetIntraOpThreads(threads);
-      for (const bool overlap : {false, true}) {
-        ReplicaGroupOptions threaded;  // worker pool + communicator
-        threaded.overlap = overlap;
-        const StepResult got = RunStep(replicas, threaded);
-        ASSERT_EQ(got.loss, expected.loss)
-            << "replicas " << replicas << " threads " << threads
-            << " overlap " << overlap;
-        ASSERT_EQ(got.params, expected.params)
-            << "replicas " << replicas << " threads " << threads
-            << " overlap " << overlap;
-      }
+      const StepResult got = RunStep(replicas, {});
+      ASSERT_EQ(got.loss, expected.loss)
+          << "replicas " << replicas << " threads " << threads;
+      ASSERT_EQ(got.params, expected.params)
+          << "replicas " << replicas << " threads " << threads;
     }
   }
 }
@@ -122,26 +116,20 @@ TEST_F(ReplicaGroupTest, FaultInjectedTrainingIsBitIdenticalAndCounted) {
 }
 
 TEST_F(ReplicaGroupTest, OverlapMatchesSequentialReferenceAcrossBucketSizes) {
-  // The tentpole acceptance check: overlapping the bucketed all-reduce
-  // with the backward pass changes only the schedule, never the numbers.
-  // For every bucket granularity, overlap on == overlap off == the
-  // sequential reference, bit for bit.
+  // Overlapping the bucketed all-reduce with the backward pass changes
+  // only the schedule, never the numbers: for every bucket granularity
+  // the threaded step equals the sequential reference, bit for bit.
   const int replicas = 4;
   SetIntraOpThreads(2);
   ReplicaGroupOptions reference;
   reference.sequential = true;
   const StepResult expected = RunStep(replicas, reference);
   for (const std::int64_t bucket_bytes : {256, 65536, 1 << 24}) {
-    for (const bool overlap : {false, true}) {
-      ReplicaGroupOptions options;
-      options.collective.bucket_bytes = bucket_bytes;
-      options.overlap = overlap;
-      const StepResult got = RunStep(replicas, options);
-      ASSERT_EQ(got.loss, expected.loss)
-          << "bucket_bytes " << bucket_bytes << " overlap " << overlap;
-      ASSERT_EQ(got.params, expected.params)
-          << "bucket_bytes " << bucket_bytes << " overlap " << overlap;
-    }
+    ReplicaGroupOptions options;
+    options.collective.bucket_bytes = bucket_bytes;
+    const StepResult got = RunStep(replicas, options);
+    ASSERT_EQ(got.loss, expected.loss) << "bucket_bytes " << bucket_bytes;
+    ASSERT_EQ(got.params, expected.params) << "bucket_bytes " << bucket_bytes;
   }
 }
 
@@ -152,7 +140,7 @@ TEST_F(ReplicaGroupTest, OverlapStreamsEveryBucketEarly) {
   // values are exact, not timing-dependent.
   const int replicas = 2;
   SetIntraOpThreads(1);
-  ReplicaGroupOptions options;  // overlap defaults to on
+  ReplicaGroupOptions options;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   const StepResult got = RunStep(replicas, options);
   const auto delta = obs::MetricsRegistry::Global()
@@ -170,9 +158,8 @@ TEST_F(ReplicaGroupTest, OverlapStreamsEveryBucketEarly) {
 }
 
 TEST_F(ReplicaGroupTest, OverlapUnderFaultInjectionStaysBitIdentical) {
-  // Satellite: drops and stragglers while buckets are in flight on the
-  // comm threads recover to the same weights as the clean run, in both
-  // overlap modes.
+  // Drops and stragglers while buckets are in flight on the comm threads
+  // recover to the same weights as the clean run.
   const int replicas = 2;
   SetIntraOpThreads(2);
   ReplicaGroupOptions faulty;
@@ -183,41 +170,65 @@ TEST_F(ReplicaGroupTest, OverlapUnderFaultInjectionStaysBitIdentical) {
   faulty.collective.recv_timeout = std::chrono::milliseconds(2000);
 
   const StepResult clean = RunStep(replicas, {}, /*steps=*/2);
-  for (const bool overlap : {false, true}) {
-    ReplicaGroupOptions options = faulty;
-    options.overlap = overlap;
-    const obs::MetricsSnapshot before =
-        obs::MetricsRegistry::Global().Snapshot();
-    const StepResult got = RunStep(replicas, options, /*steps=*/2);
-    const auto delta = obs::MetricsRegistry::Global()
-                           .Snapshot()
-                           .CounterDeltaSince(before);
-    EXPECT_EQ(got.loss, clean.loss) << "overlap " << overlap;
-    EXPECT_EQ(got.params, clean.params) << "overlap " << overlap;
-    EXPECT_GT(delta.at("dist.fault.dropped_chunks"), 0)
-        << "overlap " << overlap;
-    if (overlap) {
-      EXPECT_GT(delta.at("dist.overlap.buckets.early"), 0);
-    }
-  }
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+  const StepResult got = RunStep(replicas, faulty, /*steps=*/2);
+  const auto delta = obs::MetricsRegistry::Global()
+                         .Snapshot()
+                         .CounterDeltaSince(before);
+  EXPECT_EQ(got.loss, clean.loss);
+  EXPECT_EQ(got.params, clean.params);
+  EXPECT_GT(delta.at("dist.fault.dropped_chunks"), 0);
+  EXPECT_GT(delta.at("dist.overlap.buckets.early"), 0);
 }
 
 TEST_F(ReplicaGroupTest, ReplicaDeathFailsLoudlyInBothOverlapModes) {
-  // A replica seeded to die at the gradient collective surfaces a clean
-  // InternalError out of TrainStep (the dying rank's ReplicaDeadError or
-  // a survivor's exhausted retry budget, whichever ParallelFor rethrows)
-  // — identically whether the collective is overlapped or synchronous.
+  // A replica seeded to die at each collective of the step — the
+  // streamed gradient all-reduce (seq 0), the loss all-reduce (seq 1),
+  // the barrier (seq 2) — surfaces a clean InternalError out of
+  // TrainStep (the dying rank's ReplicaDeadError or a survivor's
+  // exhausted retry budget, whichever ParallelFor rethrows).
   const int replicas = 2;
   SetIntraOpThreads(2);
-  for (const bool overlap : {false, true}) {
+  for (const std::uint32_t seq : {0u, 1u, 2u}) {
     ReplicaGroupOptions options;
-    options.overlap = overlap;
     options.faults.death_rank = 1;
-    options.faults.death_seq = 0;
+    options.faults.death_seq = seq;
     options.collective.recv_timeout = std::chrono::milliseconds(20);
     options.collective.max_retries = 2;
-    EXPECT_THROW(RunStep(replicas, options), InternalError)
-        << "overlap " << overlap;
+    EXPECT_THROW(RunStep(replicas, options), InternalError) << "seq " << seq;
+  }
+}
+
+TEST_F(ReplicaGroupTest, CollectivesPerStepMatchesIssuedCollectives) {
+  // internal::CollectivesPerStep converts a session's kill step into a
+  // death seq, so it must equal what one step really issues per rank:
+  // the dist.* call and barrier counters across {replicated, sharded} x
+  // {guard off, on}.
+  const int replicas = 2;
+  SetIntraOpThreads(1);
+  for (const bool sharded : {false, true}) {
+    for (const bool guard : {false, true}) {
+      ReplicaGroupOptions options;
+      options.sharded = sharded;
+      options.guard.enabled = guard;
+      const obs::MetricsSnapshot before =
+          obs::MetricsRegistry::Global().Snapshot();
+      RunStep(replicas, options);
+      const auto delta = obs::MetricsRegistry::Global()
+                             .Snapshot()
+                             .CounterDeltaSince(before);
+      std::int64_t issued = 0;
+      for (const char* name :
+           {"dist.allreduce.calls", "dist.reduce_scatter.calls",
+            "dist.all_gather.calls", "dist.barrier.count"}) {
+        if (delta.count(name) != 0) issued += delta.at(name);
+      }
+      EXPECT_EQ(issued, replicas * internal::CollectivesPerStep(options))
+          << "sharded " << sharded << " guard " << guard;
+      EXPECT_EQ(internal::CollectivesPerStep(options),
+                sharded ? (guard ? 6 : 4) : (guard ? 4 : 3))
+          << "sharded " << sharded << " guard " << guard;
+    }
   }
 }
 
@@ -257,30 +268,6 @@ TEST_F(ReplicaGroupTest, AttachedAcceleratorsChargeCollectiveTime) {
   }
   EXPECT_GT(group.last_step_wall_seconds(), 0.0);
   EXPECT_GT(group.last_step_replica_seconds(0), 0.0);
-}
-
-TEST_F(ReplicaGroupTest, DeprecatedWrapperForwardsToReplicaGroup) {
-  const auto dataset = SyntheticImageDataset::Mnist(16, 13);
-  const LabeledBatch batch = dataset.Batch(0, 8, NaiveDevice());
-
-  Rng rng1(2);
-  LeNet via_group(rng1);
-  SGD<LeNet> sgd1(0.1f);
-  ReplicaGroup group(2);
-  const float group_loss =
-      group.TrainStep(via_group, sgd1, ShardBatch(batch, 2));
-
-  Rng rng2(2);
-  LeNet via_wrapper(rng2);
-  SGD<LeNet> sgd2(0.1f);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const float wrapper_loss =
-      DataParallelTrainStep(via_wrapper, sgd2, ShardBatch(batch, 2));
-#pragma GCC diagnostic pop
-
-  EXPECT_EQ(wrapper_loss, group_loss);
-  EXPECT_EQ(Parameters(via_wrapper), Parameters(via_group));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // ZeRO-style sharded optimizer state acceptance tests: the sharded
 // TrainStep (reduce-scatter grads -> per-rank shard update -> all-gather
-// params) is bit-identical to the replicated path across world sizes,
-// thread counts, and overlap modes; per-rank optimizer state shrinks
+// params) is bit-identical to the replicated path across world sizes and
+// thread counts; per-rank optimizer state shrinks
 // ~1/world; the shard plan survives non-dividing worlds and empty
 // shards; faults and replica death behave exactly as in replicated mode.
 #include "nn/replica_group.h"
@@ -102,7 +102,8 @@ TEST_F(ZeroShardingTest, ShardPlanCoversSlotsForEveryWorld) {
   // Includes worlds that don't divide the element count and worlds
   // larger than the slot count (trailing shards empty).
   for (const int world : {1, 2, 3, 4, 7, 8, 64}) {
-    const auto plan = internal::MakeZeroShardPlan(model, world);
+    const auto plan =
+        internal::MakeZeroShardPlan(internal::MakeParamLayout(model), world);
     ASSERT_EQ(plan.cuts.size(), static_cast<std::size_t>(world) + 1);
     ASSERT_EQ(plan.elem_offsets.size(), static_cast<std::size_t>(world) + 1);
     EXPECT_EQ(plan.cuts.front(), 0);
@@ -134,9 +135,9 @@ TEST_F(ZeroShardingTest, ShardPlanCoversSlotsForEveryWorld) {
 }
 
 TEST_F(ZeroShardingTest, ShardedMatchesReplicatedBitwiseAcrossGrid) {
-  // The tentpole acceptance grid: world x intra-op threads x overlap,
-  // sharded == replicated == sequential reference, bit for bit — params,
-  // loss, AND gathered optimizer state (so checkpoints agree too).
+  // The tentpole acceptance grid: world x intra-op threads, sharded ==
+  // replicated == sequential reference, bit for bit — params, loss, AND
+  // gathered optimizer state (so checkpoints agree too).
   for (const int replicas : {1, 2, 4, 8}) {
     ReplicaGroupOptions reference;
     reference.sequential = true;
@@ -144,22 +145,16 @@ TEST_F(ZeroShardingTest, ShardedMatchesReplicatedBitwiseAcrossGrid) {
     const StepResult expected = RunAdamSteps(replicas, reference);
     for (const int threads : {1, 2, 4}) {
       SetIntraOpThreads(threads);
-      for (const bool overlap : {false, true}) {
-        ReplicaGroupOptions sharded;
-        sharded.sharded = true;
-        sharded.overlap = overlap;
-        const StepResult got = RunAdamSteps(replicas, sharded);
-        ASSERT_EQ(got.loss, expected.loss)
-            << "replicas " << replicas << " threads " << threads
-            << " overlap " << overlap;
-        ASSERT_EQ(got.params, expected.params)
-            << "replicas " << replicas << " threads " << threads
-            << " overlap " << overlap;
-        ASSERT_EQ(got.adam_m, expected.adam_m)
-            << "replicas " << replicas << " threads " << threads
-            << " overlap " << overlap;
-        ASSERT_EQ(got.adam_step, expected.adam_step);
-      }
+      ReplicaGroupOptions sharded;
+      sharded.sharded = true;
+      const StepResult got = RunAdamSteps(replicas, sharded);
+      ASSERT_EQ(got.loss, expected.loss)
+          << "replicas " << replicas << " threads " << threads;
+      ASSERT_EQ(got.params, expected.params)
+          << "replicas " << replicas << " threads " << threads;
+      ASSERT_EQ(got.adam_m, expected.adam_m)
+          << "replicas " << replicas << " threads " << threads;
+      ASSERT_EQ(got.adam_step, expected.adam_step);
     }
   }
 }
@@ -251,35 +246,30 @@ TEST_F(ZeroShardingTest, WorldLargerThanSlotCountStillBitIdentical) {
 
 TEST_F(ZeroShardingTest, FaultInjectionUnderShardingStaysBitIdentical) {
   // Drops and stragglers during the reduce-scatter and all-gather
-  // recover to the clean sharded (== replicated) weights, both overlap
-  // modes.
+  // recover to the clean sharded (== replicated) weights.
   const int replicas = 4;
   SetIntraOpThreads(2);
   ReplicaGroupOptions clean_opts;
   clean_opts.sharded = true;
   const StepResult clean = RunAdamSteps(replicas, clean_opts);
 
-  for (const bool overlap : {false, true}) {
-    ReplicaGroupOptions faulty;
-    faulty.sharded = true;
-    faulty.overlap = overlap;
-    faulty.faults.seed = 23;
-    faulty.faults.drop_probability = 0.25;
-    faulty.faults.straggler_probability = 0.1;
-    faulty.faults.straggler_delay = std::chrono::milliseconds(1);
-    faulty.collective.recv_timeout = std::chrono::milliseconds(2000);
-    const obs::MetricsSnapshot before =
-        obs::MetricsRegistry::Global().Snapshot();
-    const StepResult got = RunAdamSteps(replicas, faulty);
-    const auto delta =
-        obs::MetricsRegistry::Global().Snapshot().CounterDeltaSince(before);
-    EXPECT_EQ(got.loss, clean.loss) << "overlap " << overlap;
-    EXPECT_EQ(got.params, clean.params) << "overlap " << overlap;
-    EXPECT_EQ(got.adam_m, clean.adam_m) << "overlap " << overlap;
-    EXPECT_GT(delta.at("dist.fault.dropped_chunks"), 0)
-        << "overlap " << overlap;
-    EXPECT_GT(delta.at("dist.retry.count"), 0) << "overlap " << overlap;
-  }
+  ReplicaGroupOptions faulty;
+  faulty.sharded = true;
+  faulty.faults.seed = 23;
+  faulty.faults.drop_probability = 0.25;
+  faulty.faults.straggler_probability = 0.1;
+  faulty.faults.straggler_delay = std::chrono::milliseconds(1);
+  faulty.collective.recv_timeout = std::chrono::milliseconds(2000);
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
+  const StepResult got = RunAdamSteps(replicas, faulty);
+  const auto delta =
+      obs::MetricsRegistry::Global().Snapshot().CounterDeltaSince(before);
+  EXPECT_EQ(got.loss, clean.loss);
+  EXPECT_EQ(got.params, clean.params);
+  EXPECT_EQ(got.adam_m, clean.adam_m);
+  EXPECT_GT(delta.at("dist.fault.dropped_chunks"), 0);
+  EXPECT_GT(delta.at("dist.retry.count"), 0);
 }
 
 TEST_F(ZeroShardingTest, ReplicaDeathUnderShardingFailsLoudly) {
@@ -288,19 +278,15 @@ TEST_F(ZeroShardingTest, ReplicaDeathUnderShardingFailsLoudly) {
   // clean InternalError from TrainStep — never a hang.
   const int replicas = 2;
   SetIntraOpThreads(2);
-  for (const bool overlap : {false, true}) {
-    for (const std::uint32_t seq : {0u, 1u, 2u}) {
-      ReplicaGroupOptions options;
-      options.sharded = true;
-      options.overlap = overlap;
-      options.faults.death_rank = 1;
-      options.faults.death_seq = seq;
-      options.collective.recv_timeout = std::chrono::milliseconds(20);
-      options.collective.max_retries = 2;
-      EXPECT_THROW(RunAdamSteps(replicas, options, /*steps=*/1),
-                   InternalError)
-          << "overlap " << overlap << " seq " << seq;
-    }
+  for (const std::uint32_t seq : {0u, 1u, 2u}) {
+    ReplicaGroupOptions options;
+    options.sharded = true;
+    options.faults.death_rank = 1;
+    options.faults.death_seq = seq;
+    options.collective.recv_timeout = std::chrono::milliseconds(20);
+    options.collective.max_retries = 2;
+    EXPECT_THROW(RunAdamSteps(replicas, options, /*steps=*/1), InternalError)
+        << "seq " << seq;
   }
 }
 

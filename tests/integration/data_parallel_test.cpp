@@ -3,7 +3,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "nn/data_parallel.h"
 #include "nn/models/lenet.h"
 #include "nn/training.h"
 

@@ -1,8 +1,8 @@
 // Guard-layer unit tests: digest encoding, scan order-independence,
 // verdict logic (finite sentinels, majority vote, world-1 self-check),
 // clip/spike math — plus the ReplicaGroup-level detection grid: every
-// corruption kind x replicated/sharded x overlap on/off is detected and
-// attributed to the injected rank via GradientCorruptionError.
+// corruption kind x replicated/sharded is detected and attributed to the
+// injected rank via GradientCorruptionError.
 #include "nn/guard.h"
 
 #include <gtest/gtest.h>
@@ -47,8 +47,8 @@ TEST(GuardDigestTest, ShardOffsetsCoverOneGuardVectorPerRank) {
 }
 
 TEST(GuardScanTest, BucketOrderDoesNotChangeTheDigest) {
-  // The overlapped path scans buckets in backward-completion order, the
-  // sync path ascending; both must fold to the identical digest.
+  // The streamed step scans buckets in backward-completion order; the
+  // fold must match an ascending scan of the identical buffer.
   std::vector<float> data(1000);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = 0.5f * static_cast<float>(i) - 3.0f;
@@ -283,7 +283,7 @@ class GuardReplicaGroupTest : public ::testing::Test {
 };
 
 TEST_F(GuardReplicaGroupTest, EveryCorruptionKindIsDetectedAndAttributed) {
-  // The detection acceptance grid: kind x replicated/sharded x overlap,
+  // The detection acceptance grid: kind x replicated/sharded,
   // world 4 so the checksum vote has a strict majority. NaN/Inf strike
   // the local gradients and are caught by the finite sentinels; the bit
   // flip strikes the post-collective agreement buffer and is caught by
@@ -300,35 +300,31 @@ TEST_F(GuardReplicaGroupTest, EveryCorruptionKindIsDetectedAndAttributed) {
   };
   for (const Kind& kind : kinds) {
     for (const bool sharded : {false, true}) {
-      for (const bool overlap : {false, true}) {
-        const obs::MetricsSnapshot before =
-            obs::MetricsRegistry::Global().Snapshot();
-        ReplicaGroupOptions options;
-        options.sharded = sharded;
-        options.overlap = overlap;
-        options.guard.enabled = true;
-        options.faults.corrupt_rank = 1;
-        options.faults.corrupt_seq = 0;
-        options.faults.corrupt_kind = kind.kind;
-        const GuardTrip trip = RunGuardedStep(4, options);
-        const std::string tag =
-            "kind " + std::to_string(static_cast<int>(kind.kind)) +
-            " sharded " + std::to_string(sharded) + " overlap " +
-            std::to_string(overlap);
-        ASSERT_TRUE(trip.tripped) << tag;
-        EXPECT_EQ(trip.reason, kind.reason) << tag;
-        EXPECT_EQ(trip.rank, 1) << tag;
-        const auto delta = obs::MetricsRegistry::Global()
-                               .Snapshot()
-                               .CounterDeltaSince(before);
-        EXPECT_EQ(delta.at("nn.guard.trips"), 1) << tag;
-        EXPECT_EQ(delta.at("dist.fault.corruptions"), 1) << tag;
-        EXPECT_EQ(delta.count("nn.guard.corrupt_votes")
-                      ? delta.at("nn.guard.corrupt_votes")
-                      : 0,
-                  kind.kind == dist::CorruptKind::kBitflip ? 1 : 0)
-            << tag;
-      }
+      const obs::MetricsSnapshot before =
+          obs::MetricsRegistry::Global().Snapshot();
+      ReplicaGroupOptions options;
+      options.sharded = sharded;
+      options.guard.enabled = true;
+      options.faults.corrupt_rank = 1;
+      options.faults.corrupt_seq = 0;
+      options.faults.corrupt_kind = kind.kind;
+      const GuardTrip trip = RunGuardedStep(4, options);
+      const std::string tag =
+          "kind " + std::to_string(static_cast<int>(kind.kind)) +
+          " sharded " + std::to_string(sharded);
+      ASSERT_TRUE(trip.tripped) << tag;
+      EXPECT_EQ(trip.reason, kind.reason) << tag;
+      EXPECT_EQ(trip.rank, 1) << tag;
+      const auto delta = obs::MetricsRegistry::Global()
+                             .Snapshot()
+                             .CounterDeltaSince(before);
+      EXPECT_EQ(delta.at("nn.guard.trips"), 1) << tag;
+      EXPECT_EQ(delta.at("dist.fault.corruptions"), 1) << tag;
+      EXPECT_EQ(delta.count("nn.guard.corrupt_votes")
+                    ? delta.at("nn.guard.corrupt_votes")
+                    : 0,
+                kind.kind == dist::CorruptKind::kBitflip ? 1 : 0)
+          << tag;
     }
   }
 }
@@ -417,14 +413,10 @@ TEST_F(GuardReplicaGroupTest, ClippedStepIsBitwiseEqualAcrossAllModes) {
 
   SetIntraOpThreads(2);
   for (const bool sharded : {false, true}) {
-    for (const bool overlap : {false, true}) {
-      ReplicaGroupOptions threaded;
-      threaded.sharded = sharded;
-      threaded.overlap = overlap;
-      threaded.guard = guard;
-      ASSERT_EQ(run(threaded), expected)
-          << "sharded " << sharded << " overlap " << overlap;
-    }
+    ReplicaGroupOptions threaded;
+    threaded.sharded = sharded;
+    threaded.guard = guard;
+    ASSERT_EQ(run(threaded), expected) << "sharded " << sharded;
   }
 }
 

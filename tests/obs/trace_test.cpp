@@ -15,13 +15,13 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "tests/obs/json_mini.h"
+#include "support/json.h"
 
 namespace s4tf::obs {
 namespace {
 
-using testing::JsonValue;
-using testing::ParseJson;
+using json::JsonValue;
+using json::ParseJson;
 
 std::string ReadWholeFile(const std::string& path) {
   std::ifstream in(path);

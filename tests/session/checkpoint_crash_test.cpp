@@ -1,7 +1,7 @@
 // Crash-consistency and adversarial-input tests for the v2 checkpoint
 // format: a simulated crash at any point of the save leaves a loadable
 // file, truncation at every boundary and bit flips anywhere are rejected
-// with a clean Status, and legacy v1 files still load.
+// with a clean Status, and legacy v1 files are rejected the same way.
 #include "nn/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -174,27 +174,53 @@ TEST(CheckpointCrashTest, TrailingGarbageAfterFooterIsRejected) {
 }
 
 TEST(CheckpointCrashTest, HugeDeclaredShapeIsRejectedWithoutAllocating) {
-  // A forged v1 header declaring one tensor of 2^60 elements in a tiny
-  // file: the parser must bound the resize by the file size and fail.
-  std::string bytes;
-  bytes += "S4TFCKPT";
-  const std::uint32_t version = 1, entries = 1, rank = 1;
-  bytes.append(reinterpret_cast<const char*>(&version), 4);
-  bytes.append(reinterpret_cast<const char*>(&entries), 4);
-  bytes.append(reinterpret_cast<const char*>(&rank), 4);
+  // A forged v2 file whose one tensor section declares 2^60 elements over
+  // a 16-byte payload. Both CRC layers are valid, so the parser reaches
+  // the tensor decode, which must bound the resize by the bytes actually
+  // present and fail.
+  std::string payload;
+  const std::uint32_t rank = 1;
   const std::int64_t dim = std::int64_t{1} << 60;
-  bytes.append(reinterpret_cast<const char*>(&dim), 8);
-  bytes.append(16, '\0');  // far fewer payload bytes than declared
+  payload.append(reinterpret_cast<const char*>(&rank), 4);
+  payload.append(reinterpret_cast<const char*>(&dim), 8);
+  payload.append(16, '\0');  // far fewer payload bytes than declared
+
+  std::string section;
+  const std::uint16_t kind = 1;  // f32 tensor
+  const std::string name = "param/0";
+  const std::uint16_t name_len = static_cast<std::uint16_t>(name.size());
+  const std::uint64_t payload_len = payload.size();
+  section.append(reinterpret_cast<const char*>(&kind), 2);
+  section.append(reinterpret_cast<const char*>(&name_len), 2);
+  section += name;
+  section.append(reinterpret_cast<const char*>(&payload_len), 8);
+  section += payload;
+  const std::uint32_t section_crc = Crc32(section.data(), section.size());
+  section.append(reinterpret_cast<const char*>(&section_crc), 4);
+
+  std::string bytes = "S4TFCKPT";
+  const std::uint32_t version = 2, sections = 1;
+  bytes.append(reinterpret_cast<const char*>(&version), 4);
+  bytes.append(reinterpret_cast<const char*>(&sections), 4);
+  bytes += section;
+  const std::uint32_t file_crc = Crc32(bytes.data(), bytes.size());
+  bytes.append(reinterpret_cast<const char*>(&file_crc), 4);
 
   const std::string dir = TempDir("huge");
   const std::string path = dir + "/huge.s4tf";
   WriteFileBytes(path, bytes);
   const auto loaded = LoadCheckpoint(path);
   ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("tensor payload size mismatch"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
-TEST(CheckpointCrashTest, LegacyV1FilesStillLoad) {
-  // A hand-written v1 file (pre-CRC format): one 2x2 tensor.
+TEST(CheckpointCrashTest, LegacyV1FilesAreRejected) {
+  // A hand-written v1 file (the pre-CRC format nothing writes any more):
+  // one 2x2 tensor. Loading fails at the version check with a clean
+  // Status instead of parsing unchecksummed bytes.
   std::string bytes;
   bytes += "S4TFCKPT";
   const std::uint32_t version = 1, entries = 1, rank = 2;
@@ -209,12 +235,13 @@ TEST(CheckpointCrashTest, LegacyV1FilesStillLoad) {
   const std::string dir = TempDir("v1");
   const std::string path = dir + "/legacy.s4tf";
   WriteFileBytes(path, bytes);
-  const auto loaded = LoadCheckpoint(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->entries.size(), 1u);
-  EXPECT_EQ(loaded->entries[0].shape, Shape({2, 2}));
-  EXPECT_EQ(loaded->entries[0].values,
-            (std::vector<float>{1.5f, -2.0f, 0.25f, 8.0f}));
+  for (const Status& status :
+       {LoadCheckpoint(path).status(), LoadTrainingState(path).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("unsupported checkpoint version"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(CheckpointCrashTest, UnwritablePathFailsWithStatusNotThrow) {

@@ -1,5 +1,5 @@
 // Guard rollback-and-skip acceptance tests: a seeded numeric corruption
-// (NaN / Inf / bit flip, replicated or ZeRO-sharded, overlap on or off)
+// (NaN / Inf / bit flip, replicated or ZeRO-sharded)
 // is detected by the training guard, rolled back to the newest durable
 // checkpoint, and the poisoned batch skipped — finishing with weights
 // bitwise-equal to a clean run that never saw that batch. Plus the
@@ -103,7 +103,7 @@ class GuardSessionTest : public ::testing::Test {
 };
 
 TEST_F(GuardSessionTest, RollbackAndSkipMatchesCleanDetourForEveryKindAndMode) {
-  // The acceptance grid: corruption kind x replicated/sharded x overlap.
+  // The acceptance grid: corruption kind x replicated/sharded.
   // Rank 1's buffers are struck at step 3; the session must detect, roll
   // back to the step-2 checkpoint, skip batch 3, and finish bitwise-equal
   // to the clean detour (5 training steps over batches {0,1,2,4,5}).
@@ -117,45 +117,42 @@ TEST_F(GuardSessionTest, RollbackAndSkipMatchesCleanDetourForEveryKindAndMode) {
        {dist::CorruptKind::kNaN, dist::CorruptKind::kInf,
         dist::CorruptKind::kBitflip}) {
     for (const bool sharded : {false, true}) {
-      for (const bool overlap : {false, true}) {
-        const std::string tag =
-            "kind " + std::to_string(static_cast<int>(kind)) + "_sharded" +
-            std::to_string(sharded) + "_overlap" + std::to_string(overlap);
-        const obs::MetricsSnapshot before =
-            obs::MetricsRegistry::Global().Snapshot();
-        SessionOptions options = BaseOptions(2, TempDir(tag));
-        options.replica.sharded = sharded;
-        options.replica.overlap = overlap;
-        options.replica.guard.enabled = true;
-        options.corrupt_rank = 1;
-        options.corrupt_at_step = 3;
-        options.corrupt_kind = kind;
-        const RunResult poisoned = RunSession(options, kTotal);
-        ASSERT_TRUE(poisoned.status.ok())
-            << tag << ": " << poisoned.status.ToString();
-        EXPECT_EQ(poisoned.report.steps_completed, kTotal) << tag;
-        EXPECT_EQ(poisoned.report.rollbacks, 1) << tag;
-        EXPECT_EQ(poisoned.report.steps_skipped, 1) << tag;
-        EXPECT_EQ(poisoned.report.recoveries, 1) << tag;
-        EXPECT_EQ(poisoned.report.world_size, 2) << tag;  // nobody died
-        ASSERT_EQ(poisoned.params, detour.params) << tag;
+      const std::string tag =
+          "kind " + std::to_string(static_cast<int>(kind)) + "_sharded" +
+          std::to_string(sharded);
+      const obs::MetricsSnapshot before =
+          obs::MetricsRegistry::Global().Snapshot();
+      SessionOptions options = BaseOptions(2, TempDir(tag));
+      options.replica.sharded = sharded;
+      options.replica.guard.enabled = true;
+      options.corrupt_rank = 1;
+      options.corrupt_at_step = 3;
+      options.corrupt_kind = kind;
+      const RunResult poisoned = RunSession(options, kTotal);
+      ASSERT_TRUE(poisoned.status.ok())
+          << tag << ": " << poisoned.status.ToString();
+      EXPECT_EQ(poisoned.report.steps_completed, kTotal) << tag;
+      EXPECT_EQ(poisoned.report.rollbacks, 1) << tag;
+      EXPECT_EQ(poisoned.report.steps_skipped, 1) << tag;
+      EXPECT_EQ(poisoned.report.recoveries, 1) << tag;
+      EXPECT_EQ(poisoned.report.world_size, 2) << tag;  // nobody died
+      ASSERT_EQ(poisoned.params, detour.params) << tag;
 
-        // Exact counter equalities: one trip, one rollback, one skipped
-        // step, one injected strike.
-        const auto delta = obs::MetricsRegistry::Global()
-                               .Snapshot()
-                               .CounterDeltaSince(before);
-        EXPECT_EQ(delta.at("nn.guard.trips"), 1) << tag;
-        EXPECT_EQ(delta.at("nn.guard.rollbacks"), 1) << tag;
-        EXPECT_EQ(delta.at("nn.guard.skipped_steps"), 1) << tag;
-        EXPECT_EQ(delta.at("dist.fault.corruptions"), 1) << tag;
-        EXPECT_EQ(delta.at("nn.session.recoveries"), 1) << tag;
-        EXPECT_EQ(delta.count("nn.session.world_shrinks")
-                      ? delta.at("nn.session.world_shrinks")
-                      : 0,
-                  0)
-            << tag;
-      }
+      // Exact counter equalities: one trip, one rollback, one skipped
+      // step, one injected strike.
+      const auto delta = obs::MetricsRegistry::Global()
+                             .Snapshot()
+                             .CounterDeltaSince(before);
+      EXPECT_EQ(delta.at("nn.guard.trips"), 1) << tag;
+      EXPECT_EQ(delta.at("nn.guard.rollbacks"), 1) << tag;
+      EXPECT_EQ(delta.at("nn.guard.skipped_steps"), 1) << tag;
+      EXPECT_EQ(delta.at("dist.fault.corruptions"), 1) << tag;
+      EXPECT_EQ(delta.at("nn.session.recoveries"), 1) << tag;
+      EXPECT_EQ(delta.count("nn.session.world_shrinks")
+                    ? delta.at("nn.session.world_shrinks")
+                    : 0,
+                0)
+          << tag;
     }
   }
 }
@@ -251,81 +248,77 @@ TEST_F(GuardSessionTest,
   const std::int64_t kTotal = 8;
   for (const int world : {2, 4}) {
     for (const bool sharded : {false, true}) {
-      for (const bool overlap : {false, true}) {
-        SetIntraOpThreads(2);
-        const std::string tag = "matrix_w" + std::to_string(world) +
-                                "_s" + std::to_string(sharded) + "_o" +
-                                std::to_string(overlap);
-        const RunResult detour =
-            RunSession(BaseOptions(world - 1, TempDir(tag + "_ref")),
-                       kTotal - 1, /*skip_batch=*/3);
-        ASSERT_TRUE(detour.status.ok()) << detour.status.ToString();
+      SetIntraOpThreads(2);
+      const std::string tag = "matrix_w" + std::to_string(world) +
+                              "_s" + std::to_string(sharded);
+      const RunResult detour =
+          RunSession(BaseOptions(world - 1, TempDir(tag + "_ref")),
+                     kTotal - 1, /*skip_batch=*/3);
+      ASSERT_TRUE(detour.status.ok()) << detour.status.ToString();
 
-        const obs::MetricsSnapshot before =
-            obs::MetricsRegistry::Global().Snapshot();
-        const std::string dir = TempDir(tag);
-        SessionOptions options = BaseOptions(world, dir);
-        UseFastFailureDetection(options);
-        options.replica.sharded = sharded;
-        options.replica.overlap = overlap;
-        options.replica.guard.enabled = true;
-        options.corrupt_rank = world - 1;
-        options.corrupt_at_step = 3;
-        options.corrupt_kind = dist::CorruptKind::kNaN;
-        options.kill_rank = world - 1;
-        options.kill_at_step = 5;
+      const obs::MetricsSnapshot before =
+          obs::MetricsRegistry::Global().Snapshot();
+      const std::string dir = TempDir(tag);
+      SessionOptions options = BaseOptions(world, dir);
+      UseFastFailureDetection(options);
+      options.replica.sharded = sharded;
+      options.replica.guard.enabled = true;
+      options.corrupt_rank = world - 1;
+      options.corrupt_at_step = 3;
+      options.corrupt_kind = dist::CorruptKind::kNaN;
+      options.kill_rank = world - 1;
+      options.kill_at_step = 5;
 
-        // Garble every checkpoint written so far when step 5's batch is
-        // first requested: the death recovery then finds no valid
-        // durable state (counting crc_failures) and falls back to the
-        // Run-entry baseline.
-        const auto dataset = SyntheticImageDataset::Mnist(48, 17);
-        Rng init_rng(5);
-        LeNet model(init_rng);
-        SGD<LeNet> sgd(0.1f, /*momentum=*/0.9f);
-        Rng data_rng(11);
-        TrainingSession<LeNet, SGD<LeNet>> session(
-            model, sgd, std::move(options), &data_rng);
-        bool garbled = false;
-        auto report = session.Run(kTotal, [&](std::int64_t step) {
-          if (step == 5 && !garbled) {
-            garbled = true;
-            for (const auto& entry : fs::directory_iterator(dir)) {
-              std::string bytes;
-              {
-                std::ifstream in(entry.path(), std::ios::binary);
-                bytes.assign(std::istreambuf_iterator<char>(in), {});
-              }
-              bytes[bytes.size() / 2] ^= 0x40;
-              std::ofstream out(entry.path(),
-                                std::ios::binary | std::ios::trunc);
-              out.write(bytes.data(),
-                        static_cast<std::streamsize>(bytes.size()));
+      // Garble every checkpoint written so far when step 5's batch is
+      // first requested: the death recovery then finds no valid
+      // durable state (counting crc_failures) and falls back to the
+      // Run-entry baseline.
+      const auto dataset = SyntheticImageDataset::Mnist(48, 17);
+      Rng init_rng(5);
+      LeNet model(init_rng);
+      SGD<LeNet> sgd(0.1f, /*momentum=*/0.9f);
+      Rng data_rng(11);
+      TrainingSession<LeNet, SGD<LeNet>> session(
+          model, sgd, std::move(options), &data_rng);
+      bool garbled = false;
+      auto report = session.Run(kTotal, [&](std::int64_t step) {
+        if (step == 5 && !garbled) {
+          garbled = true;
+          for (const auto& entry : fs::directory_iterator(dir)) {
+            std::string bytes;
+            {
+              std::ifstream in(entry.path(), std::ios::binary);
+              bytes.assign(std::istreambuf_iterator<char>(in), {});
             }
+            bytes[bytes.size() / 2] ^= 0x40;
+            std::ofstream out(entry.path(),
+                              std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
           }
-          return dataset.Batch(static_cast<int>(step), kGlobalBatch,
-                               NaiveDevice());
-        });
-        ASSERT_TRUE(report.ok()) << tag << ": " << report.status().ToString();
-        EXPECT_TRUE(garbled) << tag;
-        EXPECT_EQ(report->steps_completed, kTotal) << tag;
-        EXPECT_EQ(report->rollbacks, 1) << tag;
-        EXPECT_EQ(report->steps_skipped, 1) << tag;
-        EXPECT_EQ(report->recoveries, 2) << tag;  // rollback + death
-        EXPECT_EQ(report->world_size, world - 1) << tag;
-        ASSERT_EQ(Parameters(model), detour.params) << tag;
+        }
+        return dataset.Batch(static_cast<int>(step), kGlobalBatch,
+                             NaiveDevice());
+      });
+      ASSERT_TRUE(report.ok()) << tag << ": " << report.status().ToString();
+      EXPECT_TRUE(garbled) << tag;
+      EXPECT_EQ(report->steps_completed, kTotal) << tag;
+      EXPECT_EQ(report->rollbacks, 1) << tag;
+      EXPECT_EQ(report->steps_skipped, 1) << tag;
+      EXPECT_EQ(report->recoveries, 2) << tag;  // rollback + death
+      EXPECT_EQ(report->world_size, world - 1) << tag;
+      ASSERT_EQ(Parameters(model), detour.params) << tag;
 
-        const auto delta = obs::MetricsRegistry::Global()
-                               .Snapshot()
-                               .CounterDeltaSince(before);
-        EXPECT_EQ(delta.at("nn.guard.rollbacks"), 1) << tag;
-        EXPECT_EQ(delta.at("nn.session.world_shrinks"), 1) << tag;
-        EXPECT_GT(delta.at("nn.session.crc_failures"), 0) << tag;
-        // The re-walked prefix re-marks batch 3 skipped on every pass
-        // over it, so skipped_steps counts passes, not distinct steps;
-        // the distinct count is pinned by report.steps_skipped above.
-        EXPECT_GE(delta.at("nn.guard.skipped_steps"), 1) << tag;
-      }
+      const auto delta = obs::MetricsRegistry::Global()
+                             .Snapshot()
+                             .CounterDeltaSince(before);
+      EXPECT_EQ(delta.at("nn.guard.rollbacks"), 1) << tag;
+      EXPECT_EQ(delta.at("nn.session.world_shrinks"), 1) << tag;
+      EXPECT_GT(delta.at("nn.session.crc_failures"), 0) << tag;
+      // The re-walked prefix re-marks batch 3 skipped on every pass
+      // over it, so skipped_steps counts passes, not distinct steps;
+      // the distinct count is pinned by report.steps_skipped above.
+      EXPECT_GE(delta.at("nn.guard.skipped_steps"), 1) << tag;
     }
   }
 }
