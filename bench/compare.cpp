@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 namespace s4tf::bench {
@@ -11,6 +12,10 @@ namespace {
 
 using json::JsonObject;
 using json::JsonValue;
+
+std::string RowLabel(const JsonValue& row) {
+  return row.has("label") ? row.at("label").str() : "";
+}
 
 std::string BenchName(const JsonValue& doc) {
   return doc.has("bench") && doc.at("bench").is_string()
@@ -173,29 +178,57 @@ CompareResult CompareReports(const JsonValue& baseline,
       baseline.has("rows") ? baseline.at("rows").array() : no_rows;
   const json::JsonArray& fresh_rows =
       fresh.has("rows") ? fresh.at("rows").array() : no_rows;
-  if (base_rows.size() != fresh_rows.size()) {
-    result.regressions.push_back(
-        name + ": row count " + std::to_string(base_rows.size()) + " -> " +
-        std::to_string(fresh_rows.size()));
-  }
-  const std::size_t n = std::min(base_rows.size(), fresh_rows.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const JsonValue& base_row = base_rows[i];
-    const JsonValue& fresh_row = fresh_rows[i];
-    const std::string base_label =
-        base_row.has("label") ? base_row.at("label").str() : "";
-    const std::string fresh_label =
-        fresh_row.has("label") ? fresh_row.at("label").str() : "";
-    const std::string where = name + ".rows[" + base_label + "]";
-    if (base_label != fresh_label) {
-      result.regressions.push_back(where + ": row relabeled to \"" +
-                                   fresh_label + "\"");
+  // Rows match by label. Each label missing on one side is reported once,
+  // every row present on both sides is diffed, and a changed order of the
+  // common rows is one more regression.
+  const auto index_rows = [&](const json::JsonArray& rows, const char* side) {
+    std::map<std::string, std::size_t> index;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::string label = RowLabel(rows[i]);
+      if (!index.emplace(label, i).second) {
+        result.regressions.push_back(name + ".rows[" + label +
+                                     "]: duplicate label in " + side +
+                                     " artifact");
+      }
+    }
+    return index;
+  };
+  const auto base_index = index_rows(base_rows, "baseline");
+  const auto fresh_index = index_rows(fresh_rows, "fresh");
+
+  std::vector<std::string> base_order;
+  for (std::size_t i = 0; i < base_rows.size(); ++i) {
+    const std::string label = RowLabel(base_rows[i]);
+    if (base_index.at(label) != i) continue;  // duplicate, reported above
+    const std::string where = name + ".rows[" + label + "]";
+    const auto it = fresh_index.find(label);
+    if (it == fresh_index.end()) {
+      result.regressions.push_back(where + ": row missing in fresh run");
       continue;
     }
+    base_order.push_back(label);
+    const JsonValue& base_row = base_rows[i];
+    const JsonValue& fresh_row = fresh_rows[it->second];
     DiffSection(where, base_row, fresh_row, "counters", &result.regressions);
     DiffSection(where, base_row, fresh_row, "values", &result.regressions);
     DiffSection(where, base_row, fresh_row, "text", &result.regressions);
     WarnOnDrift(where, base_row, fresh_row, options, &result.warnings);
+  }
+  std::vector<std::string> fresh_order;
+  for (std::size_t i = 0; i < fresh_rows.size(); ++i) {
+    const std::string label = RowLabel(fresh_rows[i]);
+    if (fresh_index.at(label) != i) continue;
+    if (base_index.count(label) == 0) {
+      result.regressions.push_back(name + ".rows[" + label +
+                                   "]: new row in fresh run; refresh the "
+                                   "committed artifact");
+      continue;
+    }
+    fresh_order.push_back(label);
+  }
+  if (base_order != fresh_order) {
+    result.regressions.push_back(name + ": rows present in both artifacts "
+                                        "appear in a different order");
   }
   return result;
 }

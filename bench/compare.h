@@ -38,8 +38,10 @@ struct CompareResult {
 
 // Compares a committed baseline artifact against a freshly generated one.
 // Both must be parsed BENCH_*.json documents. Every deterministic
-// key/value present in either artifact must match exactly; rows are
-// matched by label and must appear in the same order.
+// key/value present in either artifact must match exactly. Rows are
+// matched by label: a label on one side only is one regression, rows on
+// both sides are diffed section by section, a changed order of those rows
+// is one regression, and so is a label that repeats within an artifact.
 CompareResult CompareReports(const json::JsonValue& baseline,
                              const json::JsonValue& fresh,
                              const CompareOptions& options = {});

@@ -137,40 +137,6 @@ std::vector<std::int64_t> ShardOffsets(std::int64_t len, int world) {
   return offsets;
 }
 
-std::unique_ptr<AsyncCollective> Communicator::RunAsync(
-    int rank, const CollectiveSpec& spec, std::vector<float>& data) {
-  // Synchronous fallback: the whole buffer is one logical bucket and the
-  // collective runs inside Wait(). Keeps the async surface usable on any
-  // communicator while consuming the same single collective seq.
-  class SyncFallback final : public AsyncCollective {
-   public:
-    SyncFallback(Communicator* comm, int rank, CollectiveSpec spec,
-                 std::vector<float>* data)
-        : comm_(comm), rank_(rank), spec_(std::move(spec)), data_(data) {}
-
-    std::int64_t num_buckets() const override {
-      return data_->empty() ? 0 : 1;
-    }
-    void SubmitBucket(std::int64_t b) override {
-      S4TF_CHECK_GE(b, 0);
-      S4TF_CHECK_LT(b, num_buckets());
-    }
-    void Wait() override {
-      if (done_) return;
-      done_ = true;
-      comm_->Run(rank_, spec_, *data_);
-    }
-
-   private:
-    Communicator* comm_;
-    int rank_;
-    CollectiveSpec spec_;
-    std::vector<float>* data_;
-    bool done_ = false;
-  };
-  return std::make_unique<SyncFallback>(this, rank, spec, &data);
-}
-
 std::vector<float> OrderedTreeReduce(std::vector<std::vector<float>> parts) {
   S4TF_CHECK(!parts.empty()) << "OrderedTreeReduce needs at least one part";
   for (std::size_t i = 1; i < parts.size(); ++i) {

@@ -231,10 +231,9 @@ class Communicator {
   // Starts an asynchronous collective over `data` (which must stay alive
   // and untouched-by-the-caller per bucket until the handle completes
   // it). Counts as exactly one collective call in the per-rank sequence —
-  // a peer may serve it with the synchronous Run. The base implementation
-  // is a synchronous fallback that runs Run inside Wait().
+  // a peer may serve it with the synchronous Run.
   virtual std::unique_ptr<AsyncCollective> RunAsync(
-      int rank, const CollectiveSpec& spec, std::vector<float>& data);
+      int rank, const CollectiveSpec& spec, std::vector<float>& data) = 0;
 
   // Blocks until every rank has arrived.
   virtual void Barrier(int rank) = 0;

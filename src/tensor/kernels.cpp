@@ -53,9 +53,6 @@ struct KernelMetrics {
 
 namespace {
 
-using ElementwiseUnary = float (*)(float, const OpAttrs&);
-using ElementwiseBinary = float (*)(float, float);
-
 // Intra-op sharding policy. Every parallel kernel below shards a
 // *disjoint* slice of its output across the global pool and accumulates
 // into each output element on a single thread in a fixed order, so results
@@ -85,12 +82,17 @@ std::vector<std::int64_t> BroadcastStrides(const Shape& in,
 
 // Odometer-style iteration over the flat range [begin, end) of `out`;
 // calls fn(out_offset, in_offsets...). The odometer is seeded from `begin`
-// so disjoint ranges can run on different threads.
+// so disjoint ranges can run on different threads. This is the one strided
+// walker: the parallel broadcasts call it per shard, and the serial
+// Reduce/Transpose/Slice/Pad kernels call it once over their whole range.
 template <int NumInputs, typename Fn>
 void ForEachBroadcastRange(
     const Shape& out,
     const std::array<std::vector<std::int64_t>, NumInputs>& strides,
     std::int64_t begin, std::int64_t end, Fn&& fn) {
+  // An empty range may come from a zero-size dim, which the seeding below
+  // would divide by.
+  if (begin >= end) return;
   const int rank = out.rank();
   std::vector<std::int64_t> index(static_cast<std::size_t>(rank), 0);
   std::array<std::int64_t, NumInputs> offs{};
@@ -137,8 +139,63 @@ void ForEachBroadcast(const Shape& out,
   });
 }
 
-Literal BinaryBroadcast(const Literal& a, const Literal& b, const Shape& out,
-                        ElementwiseBinary fn) {
+// The elementwise op table: one definition per op. Each visitor hands
+// `visit` the op's per-element functor, and both callers run through it —
+// the standalone UnaryElementwise/BinaryBroadcast kernels and the fused
+// MatMul/Conv2D epilogue (ApplyEpilogueTile) — so a fused chain evaluates
+// exactly the unfused float expressions and fused == unfused bitwise by
+// construction.
+template <typename Visit>
+auto VisitUnaryOp(OpKind kind, const OpAttrs& attrs, Visit&& visit) {
+  const float s = attrs.scalar;
+  switch (kind) {
+    case OpKind::kNeg: return visit([](float x) { return -x; });
+    case OpKind::kExp: return visit([](float x) { return std::exp(x); });
+    case OpKind::kLog: return visit([](float x) { return std::log(x); });
+    case OpKind::kTanh: return visit([](float x) { return std::tanh(x); });
+    case OpKind::kSqrt: return visit([](float x) { return std::sqrt(x); });
+    case OpKind::kRsqrt:
+      return visit([](float x) { return 1.0f / std::sqrt(x); });
+    case OpKind::kSquare: return visit([](float x) { return x * x; });
+    case OpKind::kRelu:
+      return visit([](float x) { return x > 0.0f ? x : 0.0f; });
+    case OpKind::kSigmoid:
+      return visit([](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+    case OpKind::kAbs: return visit([](float x) { return std::fabs(x); });
+    case OpKind::kAddScalar: return visit([s](float x) { return x + s; });
+    case OpKind::kMulScalar: return visit([s](float x) { return x * s; });
+    case OpKind::kPowScalar:
+      return visit([s](float x) { return std::pow(x, s); });
+    case OpKind::kLeakyRelu:
+      return visit([s](float x) { return x > 0.0f ? x : s * x; });
+    default: break;
+  }
+  S4TF_UNREACHABLE() << "not a unary elementwise op: " << OpName(kind);
+}
+
+template <typename Visit>
+auto VisitBinaryOp(OpKind kind, Visit&& visit) {
+  switch (kind) {
+    case OpKind::kAdd: return visit([](float a, float b) { return a + b; });
+    case OpKind::kSub: return visit([](float a, float b) { return a - b; });
+    case OpKind::kMul: return visit([](float a, float b) { return a * b; });
+    case OpKind::kDiv: return visit([](float a, float b) { return a / b; });
+    case OpKind::kMaximum:
+      return visit([](float a, float b) { return std::max(a, b); });
+    case OpKind::kMinimum:
+      return visit([](float a, float b) { return std::min(a, b); });
+    case OpKind::kPow:
+      return visit([](float a, float b) { return std::pow(a, b); });
+    case OpKind::kGreater:
+      return visit([](float a, float b) { return a > b ? 1.0f : 0.0f; });
+    default: break;
+  }
+  S4TF_UNREACHABLE() << "not a binary elementwise op: " << OpName(kind);
+}
+
+template <typename Fn>
+Literal BinaryBroadcast(const Literal& a, const Literal& b, Fn fn) {
+  const Shape out = BroadcastShapes(a.shape, b.shape);
   Literal result = Literal::Zeros(out);
   float* r = result.data.mutable_data();
   const float* pa = a.data.data();
@@ -161,15 +218,15 @@ Literal BinaryBroadcast(const Literal& a, const Literal& b, const Shape& out,
   return result;
 }
 
-Literal UnaryElementwise(const Literal& a, const OpAttrs& attrs,
-                         ElementwiseUnary fn) {
+template <typename Fn>
+Literal UnaryElementwise(const Literal& a, Fn fn) {
   Literal result = Literal::Zeros(a.shape);
   float* r = result.data.mutable_data();
   const float* p = a.data.data();
   ParallelForRange(a.size(), GrainFor(1),
                    [&](std::int64_t begin, std::int64_t end) {
                      for (std::int64_t i = begin; i < end; ++i) {
-                       r[i] = fn(p[i], attrs);
+                       r[i] = fn(p[i]);
                      }
                    });
   return result;
@@ -181,11 +238,24 @@ Literal Reduce(const Literal& in, const OpAttrs& attrs, OpKind kind) {
     for (int i = 0; i < in.shape.rank(); ++i) axes.push_back(i);
   }
   const Shape out_shape = InferShape(kind, {in.shape}, attrs);
-  std::vector<bool> reduced(static_cast<std::size_t>(in.shape.rank()), false);
+  const int rank = in.shape.rank();
+  std::vector<bool> reduced(static_cast<std::size_t>(rank), false);
   std::int64_t reduce_count = 1;
   for (std::int64_t a : axes) {
     reduced[static_cast<std::size_t>(a)] = true;
     reduce_count *= in.shape.dim(static_cast<int>(a));
+  }
+  // Strides of the *output* laid over input axes: reduced axes get 0 (with
+  // keep_dims too, whose kept axis has size 1), so walking the input maps
+  // each element to its output slot.
+  std::array<std::vector<std::int64_t>, 1> out_strides;
+  out_strides[0].assign(static_cast<std::size_t>(rank), 0);
+  std::int64_t running = 1;
+  for (int i = rank - 1; i >= 0; --i) {
+    if (!reduced[static_cast<std::size_t>(i)]) {
+      out_strides[0][static_cast<std::size_t>(i)] = running;
+      running *= in.shape.dim(i);
+    }
   }
 
   const float init = kind == OpKind::kReduceMax
@@ -194,47 +264,16 @@ Literal Reduce(const Literal& in, const OpAttrs& attrs, OpKind kind) {
   Literal result = Literal::Full(out_shape, init);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
-
-  // Map each input element to its output slot by walking an odometer over
-  // the input and accumulating an output offset that skips reduced axes.
-  const int rank = in.shape.rank();
-  const auto out_strides_all = [&] {
-    // Strides of the *output* laid over input axes: reduced axes get 0.
-    std::vector<std::int64_t> s(static_cast<std::size_t>(rank), 0);
-    std::int64_t running = 1;
-    for (int i = rank - 1; i >= 0; --i) {
-      const auto si = static_cast<std::size_t>(i);
-      if (reduced[si]) {
-        if (attrs.keep_dims) {
-          // keep_dims keeps a size-1 axis: stride contribution is 0 anyway.
+  // Serial: every output accumulates its inputs in ascending input order.
+  ForEachBroadcastRange<1>(
+      in.shape, out_strides, 0, in.size(),
+      [&](std::int64_t flat, const std::array<std::int64_t, 1>& out) {
+        if (kind == OpKind::kReduceMax) {
+          r[out[0]] = std::max(r[out[0]], p[flat]);
+        } else {
+          r[out[0]] += p[flat];
         }
-        s[si] = 0;
-      } else {
-        s[si] = running;
-        running *= in.shape.dim(i);
-      }
-    }
-    return s;
-  }();
-
-  std::vector<std::int64_t> index(static_cast<std::size_t>(rank), 0);
-  std::int64_t out_off = 0;
-  const std::int64_t n = in.size();
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    if (kind == OpKind::kReduceMax) {
-      r[out_off] = std::max(r[out_off], p[flat]);
-    } else {
-      r[out_off] += p[flat];
-    }
-    for (int d = rank - 1; d >= 0; --d) {
-      const auto sd = static_cast<std::size_t>(d);
-      ++index[sd];
-      out_off += out_strides_all[sd];
-      if (index[sd] < in.shape.dim(d)) break;
-      index[sd] = 0;
-      out_off -= out_strides_all[sd] * in.shape.dim(d);
-    }
-  }
+      });
   if (kind == OpKind::kReduceMean) {
     const float scale = 1.0f / static_cast<float>(reduce_count);
     const std::int64_t m = result.size();
@@ -317,31 +356,16 @@ Literal Transpose(const Literal& in, const OpAttrs& attrs) {
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
   const auto in_strides = in.shape.Strides();
-  const int rank = out_shape.rank();
-  if (rank == 0) {
-    r[0] = p[0];
-    return result;
-  }
   // Input strides permuted into output axis order.
-  std::vector<std::int64_t> perm_strides(static_cast<std::size_t>(rank));
-  for (int i = 0; i < rank; ++i) {
-    perm_strides[static_cast<std::size_t>(i)] =
-        in_strides[static_cast<std::size_t>(attrs.axes[static_cast<std::size_t>(i)])];
+  std::array<std::vector<std::int64_t>, 1> strides;
+  for (std::int64_t axis : attrs.axes) {
+    strides[0].push_back(in_strides[static_cast<std::size_t>(axis)]);
   }
-  std::vector<std::int64_t> index(static_cast<std::size_t>(rank), 0);
-  std::int64_t in_off = 0;
-  const std::int64_t n = out_shape.NumElements();
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    r[flat] = p[in_off];
-    for (int d = rank - 1; d >= 0; --d) {
-      const auto sd = static_cast<std::size_t>(d);
-      ++index[sd];
-      in_off += perm_strides[sd];
-      if (index[sd] < out_shape.dim(d)) break;
-      index[sd] = 0;
-      in_off -= perm_strides[sd] * out_shape.dim(d);
-    }
-  }
+  ForEachBroadcastRange<1>(
+      out_shape, strides, 0, out_shape.NumElements(),
+      [&](std::int64_t o, const std::array<std::int64_t, 1>& i) {
+        r[o] = p[i[0]];
+      });
   return result;
 }
 
@@ -363,31 +387,18 @@ Literal SliceOp(const Literal& in, const OpAttrs& attrs) {
   Literal result = Literal::Zeros(out_shape);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
-  const auto in_strides = in.shape.Strides();
-  const int rank = out_shape.rank();
-  if (rank == 0) {
-    r[0] = p[0];
-    return result;
-  }
+  const std::array<std::vector<std::int64_t>, 1> in_strides = {
+      in.shape.Strides()};
   std::int64_t base = 0;
-  for (int d = 0; d < rank; ++d) {
+  for (int d = 0; d < out_shape.rank(); ++d) {
     base += attrs.starts[static_cast<std::size_t>(d)] *
-            in_strides[static_cast<std::size_t>(d)];
+            in_strides[0][static_cast<std::size_t>(d)];
   }
-  std::vector<std::int64_t> index(static_cast<std::size_t>(rank), 0);
-  std::int64_t in_off = base;
-  const std::int64_t n = out_shape.NumElements();
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    r[flat] = p[in_off];
-    for (int d = rank - 1; d >= 0; --d) {
-      const auto sd = static_cast<std::size_t>(d);
-      ++index[sd];
-      in_off += in_strides[sd];
-      if (index[sd] < out_shape.dim(d)) break;
-      index[sd] = 0;
-      in_off -= in_strides[sd] * out_shape.dim(d);
-    }
-  }
+  ForEachBroadcastRange<1>(
+      out_shape, in_strides, 0, out_shape.NumElements(),
+      [&](std::int64_t o, const std::array<std::int64_t, 1>& i) {
+        r[o] = p[base + i[0]];
+      });
   return result;
 }
 
@@ -396,31 +407,18 @@ Literal PadOp(const Literal& in, const OpAttrs& attrs) {
   Literal result = Literal::Full(out_shape, attrs.scalar);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
-  const auto out_strides = out_shape.Strides();
-  const int rank = in.shape.rank();
-  if (rank == 0) {
-    r[0] = p[0];
-    return result;
-  }
+  const std::array<std::vector<std::int64_t>, 1> out_strides = {
+      out_shape.Strides()};
   std::int64_t base = 0;
-  for (int d = 0; d < rank; ++d) {
+  for (int d = 0; d < in.shape.rank(); ++d) {
     base += attrs.pads[static_cast<std::size_t>(2 * d)] *
-            out_strides[static_cast<std::size_t>(d)];
+            out_strides[0][static_cast<std::size_t>(d)];
   }
-  std::vector<std::int64_t> index(static_cast<std::size_t>(rank), 0);
-  std::int64_t out_off = base;
-  const std::int64_t n = in.size();
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    r[out_off] = p[flat];
-    for (int d = rank - 1; d >= 0; --d) {
-      const auto sd = static_cast<std::size_t>(d);
-      ++index[sd];
-      out_off += out_strides[sd];
-      if (index[sd] < in.shape.dim(d)) break;
-      index[sd] = 0;
-      out_off -= out_strides[sd] * in.shape.dim(d);
-    }
-  }
+  ForEachBroadcastRange<1>(
+      in.shape, out_strides, 0, in.size(),
+      [&](std::int64_t i, const std::array<std::int64_t, 1>& o) {
+        r[base + o[0]] = p[i];
+      });
   return result;
 }
 
@@ -460,9 +458,7 @@ struct PoolGeometry {
 };
 
 PoolGeometry MakePoolGeometry(const Shape& in, const Shape& out,
-                              std::int64_t window_h, std::int64_t window_w,
-                              std::int64_t stride_h, std::int64_t stride_w,
-                              Padding padding) {
+                              const OpAttrs& attrs) {
   PoolGeometry g;
   g.batch = in.dim(0);
   g.in_h = in.dim(1);
@@ -470,9 +466,28 @@ PoolGeometry MakePoolGeometry(const Shape& in, const Shape& out,
   g.channels = in.dim(3);
   g.out_h = out.dim(1);
   g.out_w = out.dim(2);
-  g.pad_h = kernels::PadLow(g.in_h, g.out_h, window_h, stride_h, padding);
-  g.pad_w = kernels::PadLow(g.in_w, g.out_w, window_w, stride_w, padding);
+  g.pad_h = kernels::PadLow(g.in_h, g.out_h, attrs.window_h, attrs.stride_h,
+                            attrs.padding);
+  g.pad_w = kernels::PadLow(g.in_w, g.out_w, attrs.window_w, attrs.stride_w,
+                            attrs.padding);
   return g;
+}
+
+// The one pooling window walk: calls tap(input_index) for every in-bounds
+// tap of output pixel (b, oh, ow) in channel c, in (kh, kw) order.
+template <typename Tap>
+void ForEachWindowTap(const PoolGeometry& g, const OpAttrs& attrs,
+                      std::int64_t b, std::int64_t oh, std::int64_t ow,
+                      std::int64_t c, Tap&& tap) {
+  for (std::int64_t kh = 0; kh < attrs.window_h; ++kh) {
+    const std::int64_t ih = oh * attrs.stride_h + kh - g.pad_h;
+    if (ih < 0 || ih >= g.in_h) continue;
+    for (std::int64_t kw = 0; kw < attrs.window_w; ++kw) {
+      const std::int64_t iw = ow * attrs.stride_w + kw - g.pad_w;
+      if (iw < 0 || iw >= g.in_w) continue;
+      tap(((b * g.in_h + ih) * g.in_w + iw) * g.channels + c);
+    }
+  }
 }
 
 Literal Pool2D(const Literal& in, const OpAttrs& attrs, bool is_max) {
@@ -481,9 +496,7 @@ Literal Pool2D(const Literal& in, const OpAttrs& attrs, bool is_max) {
   Literal result = Literal::Zeros(out_shape);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
-  const PoolGeometry g =
-      MakePoolGeometry(in.shape, out_shape, attrs.window_h, attrs.window_w,
-                       attrs.stride_h, attrs.stride_w, attrs.padding);
+  const PoolGeometry g = MakePoolGeometry(in.shape, out_shape, attrs);
 
   // Disjoint output rows: shard over (batch, out_h).
   const std::int64_t pool_row_cost =
@@ -497,22 +510,10 @@ Literal Pool2D(const Literal& in, const OpAttrs& attrs, bool is_max) {
         for (std::int64_t c = 0; c < g.channels; ++c) {
           float acc = is_max ? -std::numeric_limits<float>::infinity() : 0.0f;
           std::int64_t count = 0;
-          for (std::int64_t kh = 0; kh < attrs.window_h; ++kh) {
-            const std::int64_t ih = oh * attrs.stride_h + kh - g.pad_h;
-            if (ih < 0 || ih >= g.in_h) continue;
-            for (std::int64_t kw = 0; kw < attrs.window_w; ++kw) {
-              const std::int64_t iw = ow * attrs.stride_w + kw - g.pad_w;
-              if (iw < 0 || iw >= g.in_w) continue;
-              const float v =
-                  p[((b * g.in_h + ih) * g.in_w + iw) * g.channels + c];
-              if (is_max) {
-                acc = std::max(acc, v);
-              } else {
-                acc += v;
-              }
-              ++count;
-            }
-          }
+          ForEachWindowTap(g, attrs, b, oh, ow, c, [&](std::int64_t i) {
+            acc = is_max ? std::max(acc, p[i]) : acc + p[i];
+            ++count;
+          });
           const std::int64_t out_idx =
               ((b * g.out_h + oh) * g.out_w + ow) * g.channels + c;
           r[out_idx] = is_max ? acc : acc / static_cast<float>(count);
@@ -528,10 +529,7 @@ Literal AvgPool2DGrad(const Literal& grad_out, const OpAttrs& attrs) {
   Literal result = Literal::Zeros(in_shape);
   float* r = result.data.mutable_data();
   const float* g_out = grad_out.data.data();
-  const PoolGeometry g =
-      MakePoolGeometry(in_shape, grad_out.shape, attrs.window_h,
-                       attrs.window_w, attrs.stride_h, attrs.stride_w,
-                       attrs.padding);
+  const PoolGeometry g = MakePoolGeometry(in_shape, grad_out.shape, attrs);
   // Overlapping windows scatter across input rows, so the only disjoint
   // output slice is a whole image: shard over batch.
   ParallelForRange(g.batch, 1, [&](std::int64_t b_begin, std::int64_t b_end) {
@@ -541,27 +539,13 @@ Literal AvgPool2DGrad(const Literal& grad_out, const OpAttrs& attrs) {
         for (std::int64_t c = 0; c < g.channels; ++c) {
           // Count valid taps (matches forward's divisor).
           std::int64_t count = 0;
-          for (std::int64_t kh = 0; kh < attrs.window_h; ++kh) {
-            const std::int64_t ih = oh * attrs.stride_h + kh - g.pad_h;
-            if (ih < 0 || ih >= g.in_h) continue;
-            for (std::int64_t kw = 0; kw < attrs.window_w; ++kw) {
-              const std::int64_t iw = ow * attrs.stride_w + kw - g.pad_w;
-              if (iw < 0 || iw >= g.in_w) continue;
-              ++count;
-            }
-          }
+          ForEachWindowTap(g, attrs, b, oh, ow, c,
+                           [&](std::int64_t) { ++count; });
           const float share =
               g_out[((b * g.out_h + oh) * g.out_w + ow) * g.channels + c] /
               static_cast<float>(count);
-          for (std::int64_t kh = 0; kh < attrs.window_h; ++kh) {
-            const std::int64_t ih = oh * attrs.stride_h + kh - g.pad_h;
-            if (ih < 0 || ih >= g.in_h) continue;
-            for (std::int64_t kw = 0; kw < attrs.window_w; ++kw) {
-              const std::int64_t iw = ow * attrs.stride_w + kw - g.pad_w;
-              if (iw < 0 || iw >= g.in_w) continue;
-              r[((b * g.in_h + ih) * g.in_w + iw) * g.channels + c] += share;
-            }
-          }
+          ForEachWindowTap(g, attrs, b, oh, ow, c,
+                           [&](std::int64_t i) { r[i] += share; });
         }
       }
     }
@@ -576,10 +560,7 @@ Literal MaxPool2DGrad(const Literal& input, const Literal& grad_out,
   float* r = result.data.mutable_data();
   const float* p = input.data.data();
   const float* g_out = grad_out.data.data();
-  const PoolGeometry g =
-      MakePoolGeometry(input.shape, grad_out.shape, attrs.window_h,
-                       attrs.window_w, attrs.stride_h, attrs.stride_w,
-                       attrs.padding);
+  const PoolGeometry g = MakePoolGeometry(input.shape, grad_out.shape, attrs);
   // Same disjointness argument as AvgPool2DGrad: shard over batch.
   ParallelForRange(g.batch, 1, [&](std::int64_t b_begin, std::int64_t b_end) {
   for (std::int64_t b = b_begin; b < b_end; ++b) {
@@ -590,20 +571,12 @@ Literal MaxPool2DGrad(const Literal& input, const Literal& grad_out,
           // from the forward input.
           float best = -std::numeric_limits<float>::infinity();
           std::int64_t best_idx = -1;
-          for (std::int64_t kh = 0; kh < attrs.window_h; ++kh) {
-            const std::int64_t ih = oh * attrs.stride_h + kh - g.pad_h;
-            if (ih < 0 || ih >= g.in_h) continue;
-            for (std::int64_t kw = 0; kw < attrs.window_w; ++kw) {
-              const std::int64_t iw = ow * attrs.stride_w + kw - g.pad_w;
-              if (iw < 0 || iw >= g.in_w) continue;
-              const std::int64_t idx =
-                  ((b * g.in_h + ih) * g.in_w + iw) * g.channels + c;
-              if (p[idx] > best) {
-                best = p[idx];
-                best_idx = idx;
-              }
+          ForEachWindowTap(g, attrs, b, oh, ow, c, [&](std::int64_t i) {
+            if (p[i] > best) {
+              best = p[i];
+              best_idx = i;
             }
-          }
+          });
           if (best_idx >= 0) {
             r[best_idx] +=
                 g_out[((b * g.out_h + oh) * g.out_w + ow) * g.channels + c];
@@ -616,131 +589,39 @@ Literal MaxPool2DGrad(const Literal& input, const Literal& grad_out,
   return result;
 }
 
-// --- Epilogue application. These MUST mirror the float expressions of the
-// standalone elementwise lambdas in EvalOpLiteralImpl exactly: the fused
-// kernel's per-element arithmetic is the same sequence in the same order as
-// the unfused op chain, which is what makes fused == unfused bitwise.
-
-float EpilogueUnary(OpKind kind, float x, const OpAttrs& a) {
-  switch (kind) {
-    case OpKind::kNeg: return -x;
-    case OpKind::kExp: return std::exp(x);
-    case OpKind::kLog: return std::log(x);
-    case OpKind::kTanh: return std::tanh(x);
-    case OpKind::kSqrt: return std::sqrt(x);
-    case OpKind::kRsqrt: return 1.0f / std::sqrt(x);
-    case OpKind::kSquare: return x * x;
-    case OpKind::kRelu: return x > 0.0f ? x : 0.0f;
-    case OpKind::kSigmoid: return 1.0f / (1.0f + std::exp(-x));
-    case OpKind::kAbs: return std::fabs(x);
-    case OpKind::kAddScalar: return x + a.scalar;
-    case OpKind::kMulScalar: return x * a.scalar;
-    case OpKind::kPowScalar: return std::pow(x, a.scalar);
-    case OpKind::kLeakyRelu: return x > 0.0f ? x : a.scalar * x;
-    default: break;
-  }
-  S4TF_UNREACHABLE() << "not an epilogue unary: " << OpName(kind);
-}
-
-float EpilogueBinary(OpKind kind, float a, float b) {
-  switch (kind) {
-    case OpKind::kAdd: return a + b;
-    case OpKind::kSub: return a - b;
-    case OpKind::kMul: return a * b;
-    case OpKind::kDiv: return a / b;
-    case OpKind::kMaximum: return std::max(a, b);
-    case OpKind::kMinimum: return std::min(a, b);
-    case OpKind::kPow: return std::pow(a, b);
-    case OpKind::kGreater: return a > b ? 1.0f : 0.0f;
-    default: break;
-  }
-  S4TF_UNREACHABLE() << "not an epilogue binary: " << OpName(kind);
-}
-
 // Applies the whole epilogue chain to one accumulator tile of `count`
-// elements. `last_begin` is the tile's offset inside the output's last
-// dimension (for kLastDim bias broadcasts — tiles never straddle the last
-// dim); `flat_begin` its flat offset into the output (for kFull residuals).
+// elements, each link through the elementwise table. `last_begin` is the
+// tile's offset inside the output's last dimension (for kLastDim bias
+// broadcasts — tiles never straddle the last dim); `flat_begin` its flat
+// offset into the output (for kFull residuals).
 void ApplyEpilogueTile(const std::vector<kernels::EpilogueOp>& epilogue,
                        float* v, std::int64_t count, std::int64_t last_begin,
                        std::int64_t flat_begin) {
   using Map = kernels::EpilogueOp::Map;
   for (const kernels::EpilogueOp& op : epilogue) {
-    switch (op.map) {
-      case Map::kNone:
-        for (std::int64_t t = 0; t < count; ++t) {
-          v[t] = EpilogueUnary(op.kind, v[t], op.attrs);
-        }
-        break;
-      case Map::kScalar: {
-        const float o = op.operand[0];
-        for (std::int64_t t = 0; t < count; ++t) {
-          v[t] = op.commuted ? EpilogueBinary(op.kind, o, v[t])
-                             : EpilogueBinary(op.kind, v[t], o);
-        }
-        break;
-      }
-      case Map::kLastDim: {
-        const float* o = op.operand + last_begin;
-        for (std::int64_t t = 0; t < count; ++t) {
-          v[t] = op.commuted ? EpilogueBinary(op.kind, o[t], v[t])
-                             : EpilogueBinary(op.kind, v[t], o[t]);
-        }
-        break;
-      }
-      case Map::kFull: {
-        const float* o = op.operand + flat_begin;
-        for (std::int64_t t = 0; t < count; ++t) {
-          v[t] = op.commuted ? EpilogueBinary(op.kind, o[t], v[t])
-                             : EpilogueBinary(op.kind, v[t], o[t]);
-        }
-        break;
-      }
+    if (op.map == Map::kNone) {
+      VisitUnaryOp(op.kind, op.attrs, [&](auto fn) {
+        for (std::int64_t t = 0; t < count; ++t) v[t] = fn(v[t]);
+      });
+      continue;
     }
+    // Tile element t pairs with o[t * step]: one scalar, or a run of the
+    // bias row / residual starting at the tile's offset.
+    const std::int64_t step = op.map == Map::kScalar ? 0 : 1;
+    const float* o = op.operand + (op.map == Map::kLastDim ? last_begin
+                                   : op.map == Map::kFull  ? flat_begin
+                                                           : 0);
+    VisitBinaryOp(op.kind, [&](auto fn) {
+      for (std::int64_t t = 0; t < count; ++t) {
+        v[t] = op.commuted ? fn(o[t * step], v[t]) : fn(v[t], o[t * step]);
+      }
+    });
   }
 }
 
 }  // namespace
 
 namespace kernels {
-
-bool EpilogueUnarySupported(OpKind kind) {
-  switch (kind) {
-    case OpKind::kNeg:
-    case OpKind::kExp:
-    case OpKind::kLog:
-    case OpKind::kTanh:
-    case OpKind::kSqrt:
-    case OpKind::kRsqrt:
-    case OpKind::kSquare:
-    case OpKind::kRelu:
-    case OpKind::kSigmoid:
-    case OpKind::kAbs:
-    case OpKind::kAddScalar:
-    case OpKind::kMulScalar:
-    case OpKind::kPowScalar:
-    case OpKind::kLeakyRelu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool EpilogueBinarySupported(OpKind kind) {
-  switch (kind) {
-    case OpKind::kAdd:
-    case OpKind::kSub:
-    case OpKind::kMul:
-    case OpKind::kDiv:
-    case OpKind::kMaximum:
-    case OpKind::kMinimum:
-    case OpKind::kPow:
-    case OpKind::kGreater:
-      return true;
-    default:
-      return false;
-  }
-}
 
 std::int64_t PadLow(std::int64_t input, std::int64_t output,
                     std::int64_t window, std::int64_t stride,
@@ -759,9 +640,9 @@ std::int64_t PadLow(std::int64_t input, std::int64_t output,
 // reference loop nest for every shape and thread count.
 constexpr std::int64_t kEpilogueTile = 64;
 
-void MatMulEpilogue(const float* a, const float* b, float* out,
-                    std::int64_t m, std::int64_t k, std::int64_t n,
-                    const std::vector<EpilogueOp>& epilogue) {
+void MatMul(const float* a, const float* b, float* out, std::int64_t m,
+            std::int64_t k, std::int64_t n,
+            const std::vector<EpilogueOp>& epilogue) {
   // Each shard owns a contiguous block of output rows; the k-reduction for
   // a row stays on one thread, in the serial order. Within a row, a
   // kEpilogueTile-wide accumulator block walks the columns: the whole
@@ -788,16 +669,10 @@ void MatMulEpilogue(const float* a, const float* b, float* out,
   });
 }
 
-void MatMul(const float* a, const float* b, float* out, std::int64_t m,
-            std::int64_t k, std::int64_t n) {
-  MatMulEpilogue(a, b, out, m, k, n, {});
-}
-
-void Conv2DEpilogue(const float* input, const Shape& in_shape,
-                    const float* filter, const Shape& filter_shape,
-                    float* out, const Shape& out_shape, std::int64_t stride_h,
-                    std::int64_t stride_w, Padding padding,
-                    const std::vector<EpilogueOp>& epilogue) {
+void Conv2D(const float* input, const Shape& in_shape, const float* filter,
+            const Shape& filter_shape, float* out, const Shape& out_shape,
+            std::int64_t stride_h, std::int64_t stride_w, Padding padding,
+            const std::vector<EpilogueOp>& epilogue) {
   const std::int64_t batch = in_shape.dim(0), in_h = in_shape.dim(1),
                      in_w = in_shape.dim(2), in_c = in_shape.dim(3);
   const std::int64_t f_h = filter_shape.dim(0), f_w = filter_shape.dim(1),
@@ -849,13 +724,6 @@ void Conv2DEpilogue(const float* input, const Shape& in_shape,
       }
     }
   });
-}
-
-void Conv2D(const float* input, const Shape& in_shape, const float* filter,
-            const Shape& filter_shape, float* out, const Shape& out_shape,
-            std::int64_t stride_h, std::int64_t stride_w, Padding padding) {
-  Conv2DEpilogue(input, in_shape, filter, filter_shape, out, out_shape,
-                 stride_h, stride_w, padding, {});
 }
 
 void Conv2DBackpropInput(const float* grad_out, const Shape& grad_shape,
@@ -974,6 +842,28 @@ bool AllFiniteSpan(const float* data, std::int64_t n) {
 
 namespace {
 
+// MatMul/Conv2D with `epilogue` folded into their output tiles (none for
+// the standalone ops).
+Literal AnchorKernel(OpKind kind, const std::vector<const Literal*>& inputs,
+                     const OpAttrs& attrs,
+                     const std::vector<kernels::EpilogueOp>& epilogue) {
+  const Shape out =
+      InferShape(kind, {inputs[0]->shape, inputs[1]->shape}, attrs);
+  Literal result = Literal::Zeros(out);
+  if (kind == OpKind::kMatMul) {
+    kernels::MatMul(inputs[0]->data.data(), inputs[1]->data.data(),
+                    result.data.mutable_data(), inputs[0]->shape.dim(0),
+                    inputs[0]->shape.dim(1), inputs[1]->shape.dim(1),
+                    epilogue);
+  } else {
+    kernels::Conv2D(inputs[0]->data.data(), inputs[0]->shape,
+                    inputs[1]->data.data(), inputs[1]->shape,
+                    result.data.mutable_data(), out, attrs.stride_h,
+                    attrs.stride_w, attrs.padding, epilogue);
+  }
+  return result;
+}
+
 Literal EvalOpLiteralImpl(OpKind kind,
                           const std::vector<const Literal*>& inputs,
                           const OpAttrs& attrs) {
@@ -984,90 +874,34 @@ Literal EvalOpLiteralImpl(OpKind kind,
   }
   switch (kind) {
     case OpKind::kNeg:
-      return UnaryElementwise(*inputs[0], attrs,
-                              [](float x, const OpAttrs&) { return -x; });
     case OpKind::kExp:
-      return UnaryElementwise(
-          *inputs[0], attrs, [](float x, const OpAttrs&) { return std::exp(x); });
     case OpKind::kLog:
-      return UnaryElementwise(
-          *inputs[0], attrs, [](float x, const OpAttrs&) { return std::log(x); });
     case OpKind::kTanh:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs&) {
-        return std::tanh(x);
-      });
     case OpKind::kSqrt:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs&) {
-        return std::sqrt(x);
-      });
     case OpKind::kRsqrt:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs&) {
-        return 1.0f / std::sqrt(x);
-      });
     case OpKind::kSquare:
-      return UnaryElementwise(*inputs[0], attrs,
-                              [](float x, const OpAttrs&) { return x * x; });
     case OpKind::kRelu:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs&) {
-        return x > 0.0f ? x : 0.0f;
-      });
     case OpKind::kSigmoid:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs&) {
-        return 1.0f / (1.0f + std::exp(-x));
-      });
     case OpKind::kAbs:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs&) {
-        return std::fabs(x);
-      });
     case OpKind::kAddScalar:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs& a) {
-        return x + a.scalar;
-      });
     case OpKind::kMulScalar:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs& a) {
-        return x * a.scalar;
-      });
     case OpKind::kPowScalar:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs& a) {
-        return std::pow(x, a.scalar);
-      });
     case OpKind::kLeakyRelu:
-      return UnaryElementwise(*inputs[0], attrs, [](float x, const OpAttrs& a) {
-        return x > 0.0f ? x : a.scalar * x;
+      return VisitUnaryOp(kind, attrs, [&](auto fn) {
+        return UnaryElementwise(*inputs[0], fn);
       });
 
     case OpKind::kAdd:
-      return BinaryBroadcast(*inputs[0], *inputs[1],
-                             BroadcastShapes(inputs[0]->shape, inputs[1]->shape),
-                             [](float a, float b) { return a + b; });
     case OpKind::kSub:
-      return BinaryBroadcast(*inputs[0], *inputs[1],
-                             BroadcastShapes(inputs[0]->shape, inputs[1]->shape),
-                             [](float a, float b) { return a - b; });
     case OpKind::kMul:
-      return BinaryBroadcast(*inputs[0], *inputs[1],
-                             BroadcastShapes(inputs[0]->shape, inputs[1]->shape),
-                             [](float a, float b) { return a * b; });
     case OpKind::kDiv:
-      return BinaryBroadcast(*inputs[0], *inputs[1],
-                             BroadcastShapes(inputs[0]->shape, inputs[1]->shape),
-                             [](float a, float b) { return a / b; });
     case OpKind::kMaximum:
-      return BinaryBroadcast(*inputs[0], *inputs[1],
-                             BroadcastShapes(inputs[0]->shape, inputs[1]->shape),
-                             [](float a, float b) { return std::max(a, b); });
     case OpKind::kMinimum:
-      return BinaryBroadcast(*inputs[0], *inputs[1],
-                             BroadcastShapes(inputs[0]->shape, inputs[1]->shape),
-                             [](float a, float b) { return std::min(a, b); });
     case OpKind::kPow:
-      return BinaryBroadcast(*inputs[0], *inputs[1],
-                             BroadcastShapes(inputs[0]->shape, inputs[1]->shape),
-                             [](float a, float b) { return std::pow(a, b); });
     case OpKind::kGreater:
-      return BinaryBroadcast(*inputs[0], *inputs[1],
-                             BroadcastShapes(inputs[0]->shape, inputs[1]->shape),
-                             [](float a, float b) { return a > b ? 1.0f : 0.0f; });
+      return VisitBinaryOp(kind, [&](auto fn) {
+        return BinaryBroadcast(*inputs[0], *inputs[1], fn);
+      });
 
     case OpKind::kSelect: {
       const Shape out = InferShape(kind, {inputs[0]->shape, inputs[1]->shape,
@@ -1121,26 +955,9 @@ Literal EvalOpLiteralImpl(OpKind kind,
     case OpKind::kLogSoftmax:
       return SoftmaxLike(*inputs[0], /*log_space=*/true);
 
-    case OpKind::kMatMul: {
-      const Shape out =
-          InferShape(kind, {inputs[0]->shape, inputs[1]->shape}, attrs);
-      Literal result = Literal::Zeros(out);
-      kernels::MatMul(inputs[0]->data.data(), inputs[1]->data.data(),
-                      result.data.mutable_data(), inputs[0]->shape.dim(0),
-                      inputs[0]->shape.dim(1), inputs[1]->shape.dim(1));
-      return result;
-    }
-
-    case OpKind::kConv2D: {
-      const Shape out =
-          InferShape(kind, {inputs[0]->shape, inputs[1]->shape}, attrs);
-      Literal result = Literal::Zeros(out);
-      kernels::Conv2D(inputs[0]->data.data(), inputs[0]->shape,
-                      inputs[1]->data.data(), inputs[1]->shape,
-                      result.data.mutable_data(), out, attrs.stride_h,
-                      attrs.stride_w, attrs.padding);
-      return result;
-    }
+    case OpKind::kMatMul:
+    case OpKind::kConv2D:
+      return AnchorKernel(kind, inputs, attrs, {});
 
     case OpKind::kConv2DBackpropInput: {
       const Shape in_shape(attrs.shape);
@@ -1236,20 +1053,7 @@ Literal EvalFusedOpLiteral(OpKind anchor_kind,
   }
 
   obs::TraceSpan span("fused_epilogue", "kernel", "input_elements", elements);
-  const Shape out =
-      InferShape(anchor_kind, {inputs[0]->shape, inputs[1]->shape}, attrs);
-  Literal result = Literal::Zeros(out);
-  if (anchor_kind == OpKind::kMatMul) {
-    kernels::MatMulEpilogue(inputs[0]->data.data(), inputs[1]->data.data(),
-                            result.data.mutable_data(),
-                            inputs[0]->shape.dim(0), inputs[0]->shape.dim(1),
-                            inputs[1]->shape.dim(1), epilogue);
-  } else {
-    kernels::Conv2DEpilogue(inputs[0]->data.data(), inputs[0]->shape,
-                            inputs[1]->data.data(), inputs[1]->shape,
-                            result.data.mutable_data(), out, attrs.stride_h,
-                            attrs.stride_w, attrs.padding, epilogue);
-  }
+  Literal result = AnchorKernel(anchor_kind, inputs, attrs, epilogue);
   metrics.bytes->Add((elements + result.size()) *
                      static_cast<std::int64_t>(sizeof(float)));
   return result;

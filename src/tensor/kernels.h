@@ -9,11 +9,21 @@
 // cross-strategy result equality is a meaningful invariant (tested in
 // tests/lazy and tests/frameworks).
 //
+// Each elementwise op has one definition: an OpKind-dispatched table in
+// kernels.cpp that hands the op's per-element functor to both of its
+// callers, the standalone elementwise kernels and the epilogue that
+// MatMul/Conv2D apply to their output tiles. A fused chain therefore runs
+// the unfused float expressions by construction (pinned op by op in
+// tests/xla/fusion2_test.cpp). Strided iteration — broadcasts, Reduce,
+// Transpose, Slice, Pad — goes through one odometer walker, and the
+// pooling kernels through one window walk.
+//
 // Hot kernels shard across the process-wide intra-op thread pool
 // (support/threadpool.h). Parallelism is only ever over disjoint output
 // slices — never over reduction axes — so every kernel's result is
 // bit-identical for any thread count (tested in
-// tests/tensor/parallel_kernels_test.cpp).
+// tests/tensor/parallel_kernels_test.cpp). Reduce, Transpose, Slice and
+// Pad run serially on the calling thread.
 #pragma once
 
 #include <vector>
@@ -53,10 +63,11 @@ namespace kernels {
 
 // One elementwise op folded into the epilogue of a MatMul/Conv2D kernel.
 // The epilogue runs over each output tile after its reduction completes and
-// before the tile spills to memory, applying the exact float expression the
-// standalone elementwise kernels use — per output element the fused chain
-// is the same sequence of operations in the same order, so fused results
-// are bit-identical to the unfused reference for any thread count.
+// before the tile spills to memory, evaluating the op through the same
+// table entry as the standalone elementwise kernel — per output element the
+// fused chain is the same sequence of operations in the same order, so
+// fused results are bit-identical to the unfused reference for any thread
+// count. Any elementwise op of arity 1 (map kNone) or 2 can be a link.
 struct EpilogueOp {
   // How a binary op's other operand maps onto the anchor output.
   enum class Map : std::uint8_t {
@@ -73,32 +84,18 @@ struct EpilogueOp {
   bool commuted = false;  // operand OP value instead of value OP operand
 };
 
-// The elementwise subset the epilogue-aware kernels implement (what the
-// compiler's epilogue-fusion pass is allowed to fold).
-bool EpilogueUnarySupported(OpKind kind);
-bool EpilogueBinarySupported(OpKind kind);
-
+// [m,k] x [k,n], with `epilogue` applied to each output tile after its
+// reduction (same loop nest and per-element accumulation order with or
+// without one).
 void MatMul(const float* a, const float* b, float* out, std::int64_t m,
-            std::int64_t k, std::int64_t n);
+            std::int64_t k, std::int64_t n,
+            const std::vector<EpilogueOp>& epilogue = {});
 
-// MatMul with a fused elementwise epilogue applied per output tile. With an
-// empty epilogue this IS MatMul (same loop nest, same per-element
-// accumulation order).
-void MatMulEpilogue(const float* a, const float* b, float* out,
-                    std::int64_t m, std::int64_t k, std::int64_t n,
-                    const std::vector<EpilogueOp>& epilogue);
-
-// NHWC input, HWIO filter.
+// NHWC input, HWIO filter, with `epilogue` applied per output-channel tile.
 void Conv2D(const float* input, const Shape& in_shape, const float* filter,
             const Shape& filter_shape, float* out, const Shape& out_shape,
-            std::int64_t stride_h, std::int64_t stride_w, Padding padding);
-
-// Conv2D with a fused elementwise epilogue applied per output-channel tile.
-void Conv2DEpilogue(const float* input, const Shape& in_shape,
-                    const float* filter, const Shape& filter_shape,
-                    float* out, const Shape& out_shape, std::int64_t stride_h,
-                    std::int64_t stride_w, Padding padding,
-                    const std::vector<EpilogueOp>& epilogue);
+            std::int64_t stride_h, std::int64_t stride_w, Padding padding,
+            const std::vector<EpilogueOp>& epilogue = {});
 
 void Conv2DBackpropInput(const float* grad_out, const Shape& grad_shape,
                          const float* filter, const Shape& filter_shape,

@@ -253,10 +253,11 @@ std::vector<EpilogueChain> ComputeEpilogueChains(const HloModule& module) {
       if (u < 0 || claimed[static_cast<std::size_t>(u)]) break;
       const HloInstruction& user = module.instruction(u);
       if (user.shape != inst.shape) break;
-      if (kernels::EpilogueUnarySupported(user.kind)) {
-        // Pure function of the tile — always foldable.
-      } else if (kernels::EpilogueBinarySupported(user.kind) &&
-                 user.operands.size() == 2) {
+      // Any unary or binary elementwise op can be a link (the kernels run
+      // it through the same table as the standalone op); kSelect cannot.
+      const int arity = OpArity(user.kind);
+      if (!IsElementwise(user.kind) || (arity != 1 && arity != 2)) break;
+      if (arity == 2) {
         const HloId other =
             user.operands[0] == tail ? user.operands[1] : user.operands[0];
         // A folded value never materializes, so it cannot feed this link.
@@ -265,8 +266,6 @@ std::vector<EpilogueChain> ComputeEpilogueChains(const HloModule& module) {
                                      inst.shape)) {
           break;
         }
-      } else {
-        break;
       }
       claimed[static_cast<std::size_t>(u)] = true;
       chain.ops.push_back(u);
@@ -463,21 +462,13 @@ std::vector<Literal> Executable::Run(const std::vector<Literal>& parameters,
           for (HloId op : anchor.operands) {
             inputs.push_back(&env[static_cast<std::size_t>(op)]);
           }
-          std::vector<kernels::EpilogueOp> epilogue;
-          epilogue.reserve(plan.steps.size());
-          for (const EpilogueStep& step : plan.steps) {
-            kernels::EpilogueOp op;
-            op.kind = step.kind;
-            op.attrs = step.attrs;
-            op.map = step.map;
-            op.commuted = step.commuted;
-            if (step.operand >= 0) {
-              const Literal& operand =
-                  env[static_cast<std::size_t>(step.operand)];
-              op.operand = operand.data.data();
-              op.operand_elements = operand.size();
-            }
-            epilogue.push_back(std::move(op));
+          std::vector<kernels::EpilogueOp> epilogue = plan.ops;
+          for (std::size_t i = 0; i < epilogue.size(); ++i) {
+            if (plan.operands[i] < 0) continue;
+            const Literal& operand =
+                env[static_cast<std::size_t>(plan.operands[i])];
+            epilogue[i].operand = operand.data.data();
+            epilogue[i].operand_elements = operand.size();
           }
           env[id] = EvalFusedOpLiteral(anchor.kind, inputs, anchor.attrs,
                                        epilogue);
@@ -727,16 +718,18 @@ CompileResult Compile(HloModule module, const CompileOptions& options) {
       const Shape& out_shape = exe.module_.instruction(chain.anchor).shape;
       for (HloId op_id : chain.ops) {
         const HloInstruction& link = exe.module_.instruction(op_id);
-        Executable::EpilogueStep step;
-        step.kind = link.kind;
-        step.attrs = link.attrs;
+        kernels::EpilogueOp op;
+        op.kind = link.kind;
+        op.attrs = link.attrs;
+        HloId operand = -1;
         if (link.operands.size() == 2) {
-          step.commuted = link.operands[1] == tail;
-          step.operand = step.commuted ? link.operands[0] : link.operands[1];
-          step.map = *ClassifyEpilogueOperand(
-              exe.module_.instruction(step.operand).shape, out_shape);
+          op.commuted = link.operands[1] == tail;
+          operand = op.commuted ? link.operands[0] : link.operands[1];
+          op.map = *ClassifyEpilogueOperand(
+              exe.module_.instruction(operand).shape, out_shape);
         }
-        plan.steps.push_back(std::move(step));
+        plan.ops.push_back(std::move(op));
+        plan.operands.push_back(operand);
         tail = op_id;
       }
       exe.skip_[static_cast<std::size_t>(chain.anchor)] = 1;

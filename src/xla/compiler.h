@@ -166,18 +166,13 @@ class Executable {
                                const CompileOptions& options);
 
   // One epilogue chain lowered for execution, stored at the chain result's
-  // instruction id. Operands are HLO ids resolved against the environment
+  // instruction id. operands[i] is the HLO id of ops[i]'s external operand
+  // (-1 for unary links), bound to ops[i].operand against the environment
   // when the fused kernel dispatches.
-  struct EpilogueStep {
-    OpKind kind = OpKind::kRelu;
-    OpAttrs attrs;
-    HloId operand = -1;  // external binary operand; -1 for unary forms
-    kernels::EpilogueOp::Map map = kernels::EpilogueOp::Map::kNone;
-    bool commuted = false;
-  };
   struct EpiloguePlan {
     HloId anchor = -1;
-    std::vector<EpilogueStep> steps;
+    std::vector<kernels::EpilogueOp> ops;
+    std::vector<HloId> operands;
   };
 
   HloModule module_;

@@ -221,6 +221,10 @@ struct GradCheckCase {
   std::function<Tensor(const Tensor&)> f;
 };
 
+// gtest prints the parameter into the test's ctest name; without this it
+// dumps the struct's bytes, whose pointers change on every run.
+void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
+
 class TapeGradCheckTest : public ::testing::TestWithParam<GradCheckCase> {};
 
 TEST_P(TapeGradCheckTest, MatchesFiniteDifferences) {
@@ -330,6 +334,8 @@ struct ConvGradCase {
   Shape input;
   std::function<Tensor(const Tensor&)> f;
 };
+
+void PrintTo(const ConvGradCase& c, std::ostream* os) { *os << c.name; }
 
 class ConvPoolGradTest : public ::testing::TestWithParam<ConvGradCase> {};
 

@@ -276,6 +276,51 @@ TEST(BenchCompareTest, MissingAndRelabeledRowsFail) {
       CompareReports(baseline, Parsed(relabeled)).regressions.empty());
 }
 
+BenchReport RowsReport(const std::vector<std::string>& labels,
+                       std::int64_t c_calls = 3) {
+  BenchReport report("sample");
+  for (const std::string& label : labels) {
+    report.AddRow(label).SetCounter("calls", label == "C" ? c_calls : 1);
+  }
+  return report;
+}
+
+TEST(BenchCompareTest, RowsMatchByLabelSoLaterRowsStillDiff) {
+  // B is deleted and C's counter changed: a positional match would report
+  // C as relabeled and never look at its counters.
+  const CompareResult result =
+      CompareReports(Parsed(RowsReport({"A", "B", "C"}).ToJson()),
+                     Parsed(RowsReport({"A", "C"}, 4).ToJson()));
+  ASSERT_EQ(result.regressions.size(), 2u);
+  EXPECT_NE(result.regressions[0].find("rows[B]: row missing"),
+            std::string::npos)
+      << result.regressions[0];
+  EXPECT_NE(result.regressions[1].find("rows[C].counters.calls"),
+            std::string::npos)
+      << result.regressions[1];
+
+  const CompareResult added =
+      CompareReports(Parsed(RowsReport({"A", "C"}).ToJson()),
+                     Parsed(RowsReport({"A", "B", "C"}).ToJson()));
+  ASSERT_EQ(added.regressions.size(), 1u);
+  EXPECT_NE(added.regressions[0].find("rows[B]: new row"), std::string::npos);
+}
+
+TEST(BenchCompareTest, ReorderedAndDuplicatedRowsFail) {
+  const json::JsonValue baseline = Parsed(RowsReport({"A", "B", "C"}).ToJson());
+  const CompareResult reordered =
+      CompareReports(baseline, Parsed(RowsReport({"A", "C", "B"}).ToJson()));
+  ASSERT_EQ(reordered.regressions.size(), 1u);
+  EXPECT_NE(reordered.regressions[0].find("different order"),
+            std::string::npos);
+
+  const CompareResult duplicated = CompareReports(
+      baseline, Parsed(RowsReport({"A", "B", "B", "C"}).ToJson()));
+  ASSERT_EQ(duplicated.regressions.size(), 1u);
+  EXPECT_NE(duplicated.regressions[0].find("rows[B]: duplicate label"),
+            std::string::npos);
+}
+
 TEST(BenchCompareTest, BenchNameAndSchemaVersionMustMatch) {
   const json::JsonValue baseline = Parsed(MakeSampleReport().ToJson());
   std::string renamed = MakeSampleReport().ToJson();

@@ -433,43 +433,6 @@ TEST(AsyncAllReduceTest, DyingRankThrowsAtEntryAndPendingWaitFailsLoudly) {
   EXPECT_EQ(survivor_failures.load(), 1);
 }
 
-TEST(AsyncAllReduceTest, BaseClassFallbackRunsSynchronouslyInWait) {
-  // A Communicator that doesn't override RunAsync still serves the
-  // handle API: one logical bucket, reduced by the synchronous Run when
-  // Wait() runs.
-  class CountingIdentity final : public Communicator {
-   public:
-    int world_size() const override { return 1; }
-    const char* name() const override { return "counting-identity"; }
-    CollectiveResult Run(int, const CollectiveSpec&,
-                         std::vector<float>& data) override {
-      ++calls;
-      return CollectiveResult{
-          static_cast<std::int64_t>(data.size() * sizeof(float)), 1};
-    }
-    void Barrier(int) override {}
-    int calls = 0;
-  };
-  CountingIdentity comm;
-  std::vector<float> data = RankInput(0, 8);
-  auto handle =
-      comm.RunAsync(0, CollectiveSpec::AllReduce(ReduceOp::kSum), data);
-  EXPECT_EQ(handle->num_buckets(), 1);
-  handle->SubmitBucket(0);  // accepted; the work still happens in Wait()
-  EXPECT_EQ(comm.calls, 0);
-  handle->Wait();
-  EXPECT_EQ(comm.calls, 1);
-
-  std::vector<float> empty;
-  auto empty_handle =
-      comm.RunAsync(0, CollectiveSpec::AllReduce(ReduceOp::kSum), empty);
-  EXPECT_EQ(empty_handle->num_buckets(), 0);
-  empty_handle->Wait();
-  // An empty buffer has no buckets to submit, but the collective call
-  // still happens — it occupies a seq slot peers line up against.
-  EXPECT_EQ(comm.calls, 2);
-}
-
 TEST(MessageKeyTest, PackedIsInjectiveAcrossFields) {
   const MessageKey a{MessagePhase::kScatter, 1, 2, 3, 4};
   EXPECT_NE(a.Packed(), (MessageKey{MessagePhase::kGather, 1, 2, 3, 4}).Packed());

@@ -1,6 +1,8 @@
 #include "tensor/kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <gtest/gtest.h>
 
 #include "support/rng.h"
@@ -285,6 +287,13 @@ struct ConvAdjointCase {
   Padding padding;
 };
 
+// gtest prints the parameter into the test's ctest name; without this it
+// dumps the struct's bytes, whose heap pointers change on every run.
+void PrintTo(const ConvAdjointCase& c, std::ostream* os) {
+  *os << c.input << " conv " << c.filter << " stride " << c.stride
+      << (c.padding == Padding::kSame ? " SAME" : " VALID");
+}
+
 class ConvAdjointTest : public ::testing::TestWithParam<ConvAdjointCase> {};
 
 float Dot(const Literal& a, const Literal& b) {
@@ -344,6 +353,97 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(KernelsTest, CrossReplicaSumIsIdentityOnOneReplica) {
   const Literal x = L(Shape({3}), {1, 2, 3});
   EXPECT_EQ(Eval(OpKind::kCrossReplicaSum, {x}), x.data.ToVector());
+}
+
+// --- Zero-size and rank-0 shapes. -------------------------------------------
+
+Shape ShapeOf(OpKind kind, const std::vector<Literal>& inputs,
+              const OpAttrs& attrs = {}) {
+  return EvalOpLiteral(kind, inputs, attrs).shape;
+}
+
+bool AllNaN(const std::vector<float>& v) {
+  return std::all_of(v.begin(), v.end(), [](float x) { return std::isnan(x); });
+}
+
+TEST(KernelsTest, ZeroSizeShapes) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const Literal scalar = L(Shape({}), {2.0f});
+  const OpAttrs swap{.axes = {1, 0}};
+
+  // [0, 3]: the empty axis leads.
+  const Literal rows0 = Literal::Zeros(Shape({0, 3}));
+  EXPECT_EQ(ShapeOf(OpKind::kTranspose, {rows0}, swap), Shape({3, 0}));
+  EXPECT_EQ(ShapeOf(OpKind::kSlice, {rows0},
+                    OpAttrs{.shape = {0, 3}, .starts = {0, 0}}),
+            Shape({0, 3}));
+  const Literal padded_rows = EvalOpLiteral(
+      OpKind::kPad, {rows0}, OpAttrs{.pads = {1, 1, 0, 0}, .scalar = 7.0f});
+  EXPECT_EQ(padded_rows.shape, Shape({2, 3}));
+  EXPECT_EQ(padded_rows.data.ToVector(), std::vector<float>(6, 7.0f));
+  const OpAttrs axis0{.axes = {0}};
+  EXPECT_EQ(Eval(OpKind::kReduceSum, {rows0}, axis0),
+            (std::vector<float>{0, 0, 0}));
+  EXPECT_EQ(Eval(OpKind::kReduceMax, {rows0}, axis0),
+            (std::vector<float>{-inf, -inf, -inf}));
+  const std::vector<float> mean_rows =
+      Eval(OpKind::kReduceMean, {rows0}, axis0);
+  EXPECT_EQ(mean_rows.size(), 3u);
+  EXPECT_TRUE(AllNaN(mean_rows));  // 0 * (1 / 0)
+  EXPECT_EQ(ShapeOf(OpKind::kReduceSum, {rows0}, OpAttrs{.axes = {1}}),
+            Shape({0}));
+  EXPECT_EQ(Eval(OpKind::kReduceSum, {rows0}), (std::vector<float>{0}));
+  EXPECT_EQ(Eval(OpKind::kReduceMax, {rows0}), (std::vector<float>{-inf}));
+  EXPECT_EQ(ShapeOf(OpKind::kBroadcastTo, {L(Shape({1, 3}), {1, 2, 3})},
+                    OpAttrs{.shape = {0, 3}}),
+            Shape({0, 3}));
+  EXPECT_EQ(ShapeOf(OpKind::kRelu, {rows0}), Shape({0, 3}));
+  EXPECT_EQ(ShapeOf(OpKind::kAdd, {rows0, scalar}), Shape({0, 3}));
+
+  // [3, 0]: the empty axis trails.
+  const Literal cols0 = Literal::Zeros(Shape({3, 0}));
+  EXPECT_EQ(ShapeOf(OpKind::kTranspose, {cols0}, swap), Shape({0, 3}));
+  EXPECT_EQ(ShapeOf(OpKind::kSlice, {cols0},
+                    OpAttrs{.shape = {3, 0}, .starts = {0, 0}}),
+            Shape({3, 0}));
+  const Literal padded_cols = EvalOpLiteral(
+      OpKind::kPad, {cols0}, OpAttrs{.pads = {0, 0, 1, 1}, .scalar = 7.0f});
+  EXPECT_EQ(padded_cols.shape, Shape({3, 2}));
+  EXPECT_EQ(padded_cols.data.ToVector(), std::vector<float>(6, 7.0f));
+  const OpAttrs axis1{.axes = {1}};
+  EXPECT_EQ(Eval(OpKind::kReduceSum, {cols0}, axis1),
+            (std::vector<float>{0, 0, 0}));
+  EXPECT_EQ(Eval(OpKind::kReduceMax, {cols0}, axis1),
+            (std::vector<float>{-inf, -inf, -inf}));
+  const std::vector<float> mean_cols =
+      Eval(OpKind::kReduceMean, {cols0}, axis1);
+  EXPECT_EQ(mean_cols.size(), 3u);
+  EXPECT_TRUE(AllNaN(mean_cols));
+  EXPECT_EQ(ShapeOf(OpKind::kReduceSum, {cols0}, axis0), Shape({0}));
+  EXPECT_EQ(ShapeOf(OpKind::kBroadcastTo, {L(Shape({3, 1}), {1, 2, 3})},
+                    OpAttrs{.shape = {3, 0}}),
+            Shape({3, 0}));
+  EXPECT_EQ(ShapeOf(OpKind::kRelu, {cols0}), Shape({3, 0}));
+  EXPECT_EQ(ShapeOf(OpKind::kAdd, {cols0, scalar}), Shape({3, 0}));
+}
+
+TEST(KernelsTest, RankZeroOpsReturnTheirScalar) {
+  const Literal x = L(Shape({}), {-2.5f});
+  const std::vector<float> same = {-2.5f};
+  EXPECT_EQ(Eval(OpKind::kTranspose, {x}, OpAttrs{.axes = {}}), same);
+  EXPECT_EQ(Eval(OpKind::kSlice, {x}, OpAttrs{.shape = {}, .starts = {}}),
+            same);
+  EXPECT_EQ(Eval(OpKind::kPad, {x}, OpAttrs{.pads = {}, .scalar = 7.0f}),
+            same);
+  EXPECT_EQ(Eval(OpKind::kReduceSum, {x}), same);
+  EXPECT_EQ(Eval(OpKind::kReduceMean, {x}), same);
+  EXPECT_EQ(Eval(OpKind::kReduceMax, {x}), same);
+  EXPECT_EQ(Eval(OpKind::kBroadcastTo, {x}, OpAttrs{.shape = {}}), same);
+  EXPECT_EQ(Eval(OpKind::kNeg, {x}), (std::vector<float>{2.5f}));
+  EXPECT_EQ(Eval(OpKind::kAdd, {x, x}), (std::vector<float>{-5.0f}));
+  for (OpKind kind : {OpKind::kTranspose, OpKind::kReduceSum, OpKind::kNeg}) {
+    EXPECT_EQ(ShapeOf(kind, {x}), Shape({})) << OpName(kind);
+  }
 }
 
 }  // namespace

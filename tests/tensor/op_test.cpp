@@ -94,6 +94,13 @@ struct ConvCase {
   Shape expected;
 };
 
+// gtest prints the parameter into the test's ctest name; without this it
+// dumps the struct's bytes, whose heap pointers change on every run.
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << c.input << " conv " << c.filter << " stride " << c.stride
+      << (c.padding == Padding::kSame ? " SAME" : " VALID");
+}
+
 class ConvShapeTest : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvShapeTest, InfersOutput) {

@@ -64,6 +64,12 @@ struct BroadcastCase {
   Shape result;  // valid when compatible
 };
 
+// gtest prints the parameter into the test's ctest name; without this it
+// dumps the struct's bytes, whose heap pointers change on every run.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  *os << c.a << " with " << c.b;
+}
+
 class BroadcastTest : public ::testing::TestWithParam<BroadcastCase> {};
 
 TEST_P(BroadcastTest, CompatibilityAndResult) {

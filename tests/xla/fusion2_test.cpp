@@ -11,12 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "lazy/lazy_tensor.h"
 #include "obs/metrics.h"
 #include "support/rng.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tests/ad/gradient_check.h"
@@ -279,6 +283,181 @@ TEST(EpilogueExecTest, FusedKernelChargesLessDeviceTime) {
   EXPECT_LT(fused_acc.elapsed_seconds(), unfused_acc.elapsed_seconds());
   EXPECT_EQ(fused_acc.kernels_launched(), 1);
   EXPECT_EQ(unfused_acc.kernels_launched(), 3);
+}
+
+// --- Every elementwise op as an epilogue link. -----------------------------
+//
+// Each case folds one link into a MatMul anchor and into a Conv2D anchor
+// (EvalFusedOpLiteral) and compares the result, bit for bit, with the
+// anchor evaluated alone followed by the standalone op (EvalOpLiteral).
+// The output width 70 splits the 64-wide register tile.
+
+constexpr std::int64_t kLinkWidth = 70;
+
+// Anchor outputs and epilogue operands cycle through these, so every float
+// expression sees NaN, +-Inf, -0, subnormals and negatives.
+std::vector<float> SpecialFloats(bool finite_only = false) {
+  std::vector<float> values = {std::numeric_limits<float>::quiet_NaN(),
+                               std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity(),
+                               -0.0f,
+                               std::numeric_limits<float>::denorm_min(),
+                               -3.0e-39f,
+                               -2.5f,
+                               -0.75f,
+                               0.5f,
+                               3.0f};
+  if (finite_only) {
+    std::erase_if(values, [](float v) { return !std::isfinite(v); });
+  }
+  return values;
+}
+
+// Uniform values in [-2, 2] with SpecialFloats() written over every third
+// element.
+Literal SpecialLiteral(const Shape& shape, std::uint64_t seed,
+                       bool finite_only = false) {
+  std::vector<float> values =
+      RandomLiteral(shape, seed, -2.0f, 2.0f).data.ToVector();
+  const std::vector<float> specials = SpecialFloats(finite_only);
+  for (std::size_t i = 0; i < values.size(); i += 3) {
+    values[i] = specials[(i / 3) % specials.size()];
+  }
+  return Literal::FromVector(shape, std::move(values));
+}
+
+Literal Identity(std::int64_t n, const Shape& shape) {
+  std::vector<float> values(static_cast<std::size_t>(n * n), 0.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    values[static_cast<std::size_t>(i * n + i)] = 1.0f;
+  }
+  return Literal::FromVector(shape, std::move(values));
+}
+
+struct LinkAnchor {
+  const char* name;
+  OpKind kind;
+  std::vector<Literal> inputs;
+  OpAttrs attrs;
+  Shape out;
+};
+
+// identity x B: with the kernel's zero-skip every output element is
+// 0 + 1 * B[i][j], so B's NaNs, infinities and subnormals reach the
+// epilogue unchanged.
+LinkAnchor MatMulLinkAnchor() {
+  const std::int64_t m = 6;
+  return {"matmul",
+          OpKind::kMatMul,
+          {Identity(m, Shape({m, m})),
+           SpecialLiteral(Shape({m, kLinkWidth}), 91)},
+          {},
+          Shape({m, kLinkWidth})};
+}
+
+// A 1x1 identity filter over finite inputs: an infinite input would turn
+// its off-diagonal taps (Inf * 0) into NaN.
+LinkAnchor Conv2DLinkAnchor() {
+  const std::int64_t c = kLinkWidth;
+  return {"conv2d",
+          OpKind::kConv2D,
+          {SpecialLiteral(Shape({1, 2, 3, c}), 92, /*finite_only=*/true),
+           Identity(c, Shape({1, 1, c, c}))},
+          {},
+          Shape({1, 2, 3, c})};
+}
+
+std::vector<std::uint32_t> Bits(const Literal& literal) {
+  const std::vector<float> values = literal.data.ToVector();
+  std::vector<std::uint32_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(float));
+  return bits;
+}
+
+// Fused anchor + link vs. the anchor alone followed by the standalone op,
+// at 1 and 4 intra-op threads. `operand` is the link's external operand
+// (nullptr for unary links).
+void ExpectLinkMatchesStandalone(const LinkAnchor& anchor,
+                                 const kernels::EpilogueOp& link,
+                                 const Literal* operand) {
+  std::vector<const Literal*> inputs;
+  for (const Literal& in : anchor.inputs) inputs.push_back(&in);
+  for (int threads : {1, 4}) {
+    SetIntraOpParallelism(threads);
+    const Literal value = EvalOpLiteral(anchor.kind, inputs, anchor.attrs);
+    std::vector<const Literal*> link_inputs = {&value};
+    if (operand != nullptr) {
+      link_inputs.push_back(operand);
+      if (link.commuted) std::swap(link_inputs[0], link_inputs[1]);
+    }
+    const std::vector<std::uint32_t> standalone =
+        Bits(EvalOpLiteral(link.kind, link_inputs, link.attrs));
+    const std::vector<std::uint32_t> fused =
+        Bits(EvalFusedOpLiteral(anchor.kind, inputs, anchor.attrs, {link}));
+    ASSERT_EQ(fused.size(), standalone.size());
+    const auto diff =
+        std::mismatch(fused.begin(), fused.end(), standalone.begin());
+    EXPECT_TRUE(diff.first == fused.end())
+        << anchor.name << " + " << OpName(link.kind)
+        << " map=" << static_cast<int>(link.map)
+        << " commuted=" << link.commuted << " threads=" << threads
+        << ": element " << (diff.first - fused.begin()) << " differs";
+  }
+  SetIntraOpParallelism(0);
+}
+
+TEST(EpilogueLinkTest, EveryUnaryLinkMatchesStandaloneBitwise) {
+  struct Unary {
+    OpKind kind;
+    float scalar;
+  };
+  const Unary unaries[] = {
+      {OpKind::kNeg, 0.0f},        {OpKind::kExp, 0.0f},
+      {OpKind::kLog, 0.0f},        {OpKind::kTanh, 0.0f},
+      {OpKind::kSqrt, 0.0f},       {OpKind::kRsqrt, 0.0f},
+      {OpKind::kSquare, 0.0f},     {OpKind::kRelu, 0.0f},
+      {OpKind::kSigmoid, 0.0f},    {OpKind::kAbs, 0.0f},
+      {OpKind::kAddScalar, 0.25f}, {OpKind::kMulScalar, -3.0f},
+      {OpKind::kPowScalar, 0.5f},  {OpKind::kLeakyRelu, 0.1f}};
+  for (const LinkAnchor& anchor : {MatMulLinkAnchor(), Conv2DLinkAnchor()}) {
+    for (const Unary& unary : unaries) {
+      kernels::EpilogueOp link;
+      link.kind = unary.kind;
+      link.attrs.scalar = unary.scalar;
+      ExpectLinkMatchesStandalone(anchor, link, nullptr);
+    }
+  }
+}
+
+TEST(EpilogueLinkTest, EveryBinaryLinkMatchesStandaloneBitwise) {
+  using Map = kernels::EpilogueOp::Map;
+  const OpKind binaries[] = {OpKind::kAdd,     OpKind::kSub,
+                             OpKind::kMul,     OpKind::kDiv,
+                             OpKind::kMaximum, OpKind::kMinimum,
+                             OpKind::kPow,     OpKind::kGreater};
+  for (const LinkAnchor& anchor : {MatMulLinkAnchor(), Conv2DLinkAnchor()}) {
+    // One scalar operand per special value, then a bias row and a residual.
+    std::vector<std::pair<Map, Literal>> operands;
+    for (float v : SpecialFloats()) {
+      operands.emplace_back(Map::kScalar, Literal::FromVector(Shape({}), {v}));
+    }
+    operands.emplace_back(Map::kLastDim,
+                          SpecialLiteral(Shape({kLinkWidth}), 93));
+    operands.emplace_back(Map::kFull, SpecialLiteral(anchor.out, 94));
+    for (OpKind kind : binaries) {
+      for (const auto& [map, operand] : operands) {
+        for (bool commuted : {false, true}) {
+          kernels::EpilogueOp link;
+          link.kind = kind;
+          link.map = map;
+          link.commuted = commuted;
+          link.operand = operand.data.data();
+          link.operand_elements = operand.size();
+          ExpectLinkMatchesStandalone(anchor, link, &operand);
+        }
+      }
+    }
+  }
 }
 
 // --- External-bytes accounting (the double-count fix). ---------------------
