@@ -4,9 +4,11 @@
 // count) on fixed hot-kernel workloads, so the threads=1 vs threads=N
 // rows measure the speedup from ParallelForRange sharding directly.
 // Compare the wall-clock "Time" column (UseRealTime): CPU time stays
-// roughly constant while wall time shrinks.
+// roughly constant while wall time shrinks. The BM_Strided cases report
+// the achieved GB/s of the broadcast, reduction and transpose kernels.
 #include <benchmark/benchmark.h>
 
+#include "device/cost_model.h"
 #include "gbench_main.h"
 #include "support/rng.h"
 #include "tensor/kernels.h"
@@ -207,6 +209,41 @@ void BM_MaxPool(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxPool)->Arg(16)->Arg(32);
+
+// The kernels the strided run walker drives, on the shapes batch norm and
+// NHWC bias broadcasts produce, at one thread. Bytes per iteration come
+// from the cost model's OpBytes (inputs read once, output written once),
+// so bytes_per_second is the achieved bandwidth.
+void BM_Strided(benchmark::State& state, OpKind kind,
+                const std::vector<Shape>& shapes, const OpAttrs& attrs) {
+  SetIntraOpParallelism(1);
+  std::vector<Literal> inputs;
+  for (const Shape& shape : shapes) {
+    inputs.push_back(RandomLiteral(shape, 20 + inputs.size()));
+  }
+  const Shape out = InferShape(kind, shapes, attrs);
+  for (auto _ : state) {
+    Literal result = EvalOpLiteral(kind, inputs, attrs);
+    benchmark::DoNotOptimize(result.data.data());
+  }
+  state.SetBytesProcessed(state.iterations() * OpBytes(shapes, out));
+  SetIntraOpParallelism(0);
+}
+BENCHMARK_CAPTURE(BM_Strided, add_c, OpKind::kAdd,
+                  {Shape({8, 32, 32, 16}), Shape({16})}, OpAttrs{});
+BENCHMARK_CAPTURE(BM_Strided, mul_1x1x1xc, OpKind::kMul,
+                  {Shape({8, 32, 32, 16}), Shape({1, 1, 1, 16})}, OpAttrs{});
+BENCHMARK_CAPTURE(BM_Strided, greater_scalar, OpKind::kGreater,
+                  {Shape({8, 32, 32, 16}), Shape()}, OpAttrs{});
+BENCHMARK_CAPTURE(BM_Strided, broadcast_to_nhwc, OpKind::kBroadcastTo,
+                  {Shape({1, 1, 1, 16})}, OpAttrs{.shape = {8, 32, 32, 16}});
+BENCHMARK_CAPTURE(BM_Strided, reduce_sum_nhw_keep_dims, OpKind::kReduceSum,
+                  {Shape({8, 32, 32, 16})},
+                  OpAttrs{.axes = {0, 1, 2}, .keep_dims = true});
+BENCHMARK_CAPTURE(BM_Strided, reduce_sum_last_axis, OpKind::kReduceSum,
+                  {Shape({8, 32, 32, 16})}, OpAttrs{.axes = {3}});
+BENCHMARK_CAPTURE(BM_Strided, transpose_400x120, OpKind::kTranspose,
+                  {Shape({400, 120})}, OpAttrs{.axes = {1, 0}});
 
 }  // namespace
 }  // namespace s4tf

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -80,63 +81,152 @@ std::vector<std::int64_t> BroadcastStrides(const Shape& in,
   return strides;
 }
 
-// Odometer-style iteration over the flat range [begin, end) of `out`;
-// calls fn(out_offset, in_offsets...). The odometer is seeded from `begin`
-// so disjoint ranges can run on different threads. This is the one strided
-// walker: the parallel broadcasts call it per shard, and the serial
-// Reduce/Transpose/Slice/Pad kernels call it once over their whole range.
-template <int NumInputs, typename Fn>
-void ForEachBroadcastRange(
-    const Shape& out,
-    const std::array<std::vector<std::int64_t>, NumInputs>& strides,
-    std::int64_t begin, std::int64_t end, Fn&& fn) {
-  // An empty range may come from a zero-size dim, which the seeding below
-  // would divide by.
-  if (begin >= end) return;
-  const int rank = out.rank();
-  std::vector<std::int64_t> index(static_cast<std::size_t>(rank), 0);
-  std::array<std::int64_t, NumInputs> offs{};
-  std::int64_t rem = begin;
-  for (int d = rank - 1; d >= 0; --d) {
-    const auto sd = static_cast<std::size_t>(d);
-    index[sd] = rem % out.dim(d);
-    rem /= out.dim(d);
-    for (int i = 0; i < NumInputs; ++i) {
-      offs[static_cast<std::size_t>(i)] +=
-          index[sd] * strides[static_cast<std::size_t>(i)][sd];
+// A strided iteration space cut into runs: the walked shape's dims, each
+// with every operand's stride on it (0 on broadcast axes). Size-1 dims are
+// dropped, and every adjacent pair of dims that all operands walk
+// contiguously — the outer stride equals the inner stride times the inner
+// dim, which two zero strides satisfy too — is merged into one, so the
+// innermost dim, along which the runs go, is as long as the layouts allow.
+// A space with no dim above 1 becomes one dim of size 1.
+template <std::size_t NumInputs>
+struct RunSpace {
+  using Strides = std::array<std::int64_t, NumInputs>;
+  std::vector<std::int64_t> dims;
+  std::vector<Strides> strides;  // strides[d][i]: operand i along dims[d]
+};
+
+template <std::size_t NumInputs>
+RunSpace<NumInputs> MergeRuns(
+    const Shape& walked,
+    const std::array<std::vector<std::int64_t>, NumInputs>& strides) {
+  RunSpace<NumInputs> space;
+  for (int d = 0; d < walked.rank(); ++d) {
+    const std::int64_t dim = walked.dim(d);
+    if (dim == 1) continue;
+    typename RunSpace<NumInputs>::Strides s;
+    bool contiguous = !space.dims.empty();
+    for (std::size_t i = 0; i < NumInputs; ++i) {
+      s[i] = strides[i][static_cast<std::size_t>(d)];
+      contiguous = contiguous && space.strides.back()[i] == s[i] * dim;
+    }
+    if (contiguous) {
+      space.dims.back() *= dim;
+      space.strides.back() = s;
+    } else {
+      space.dims.push_back(dim);
+      space.strides.push_back(s);
     }
   }
-  for (std::int64_t flat = begin; flat < end; ++flat) {
-    fn(flat, offs);
-    // Increment odometer and input offsets together.
-    for (int d = rank - 1; d >= 0; --d) {
-      const auto sd = static_cast<std::size_t>(d);
-      ++index[sd];
-      for (int i = 0; i < NumInputs; ++i) offs[static_cast<std::size_t>(i)] += strides[static_cast<std::size_t>(i)][sd];
-      if (index[sd] < out.dim(d)) break;
-      index[sd] = 0;
-      for (int i = 0; i < NumInputs; ++i) {
-        offs[static_cast<std::size_t>(i)] -=
-            strides[static_cast<std::size_t>(i)][sd] * out.dim(d);
-      }
-    }
+  if (space.dims.empty()) {
+    space.dims.push_back(1);
+    space.strides.push_back({});
+  }
+  return space;
+}
+
+using UnitStride = std::integral_constant<std::int64_t, 1>;
+using ZeroStride = std::integral_constant<std::int64_t, 0>;
+
+// Calls fn(s...) with each operand's inner stride, passing 1 and 0 as the
+// compile-time UnitStride and ZeroStride: a run loop indexed by `k * s`
+// then instantiates as a unit-stride or loop-invariant access, which GCC
+// vectorizes. Any other stride stays a runtime value.
+template <std::size_t I = 0, std::size_t N, typename Fn, typename... S>
+void WithInnerStrides(const std::array<std::int64_t, N>& strides, Fn&& fn,
+                      S... fixed) {
+  if constexpr (I == N) {
+    fn(fixed...);
+  } else if (strides[I] == 1) {
+    WithInnerStrides<I + 1>(strides, fn, fixed..., UnitStride());
+  } else if (strides[I] == 0) {
+    WithInnerStrides<I + 1>(strides, fn, fixed..., ZeroStride());
+  } else {
+    WithInnerStrides<I + 1>(strides, fn, fixed..., strides[I]);
   }
 }
 
-// Parallel iteration over all of `out`, sharded by contiguous flat ranges.
-template <int NumInputs, typename Fn>
-void ForEachBroadcast(const Shape& out,
-                      const std::array<std::vector<std::int64_t>, NumInputs>& strides,
-                      Fn&& fn) {
-  const std::int64_t n = out.NumElements();
+// Walks the flat range [begin, end) of `space` run by run, each run a
+// stretch along the innermost dim: run(flat, offsets, len, s...) covers
+// flat indices [flat, flat + len), and operand i's k-th element of the run
+// is at offsets[i] + k * s_i, s_i its inner stride (see WithInnerStrides).
+// Seeded from `begin`, so disjoint ranges can run on different threads.
+// This is the one strided walker: the parallel broadcasts call it per
+// shard, and the serial Reduce/Transpose/Slice/Pad kernels call it once
+// over their whole range.
+template <std::size_t NumInputs, typename Run>
+void ForEachRun(const RunSpace<NumInputs>& space, std::int64_t begin,
+                std::int64_t end, Run&& run) {
+  // An empty range may come from a zero-size dim, which the seeding below
+  // would divide by.
+  if (begin >= end) return;
+  const int outer = static_cast<int>(space.dims.size()) - 1;
+  const std::int64_t inner = space.dims.back();
+  const auto& inner_strides = space.strides.back();
+  // The outer dims' odometer, and each operand's offset at the start of
+  // the current row of the innermost dim.
+  std::vector<std::int64_t> index(static_cast<std::size_t>(outer), 0);
+  typename RunSpace<NumInputs>::Strides row{};
+  std::int64_t rem = begin / inner;
+  for (int d = outer - 1; d >= 0; --d) {
+    const auto sd = static_cast<std::size_t>(d);
+    index[sd] = rem % space.dims[sd];
+    rem /= space.dims[sd];
+    for (std::size_t i = 0; i < NumInputs; ++i) {
+      row[i] += index[sd] * space.strides[sd][i];
+    }
+  }
+  WithInnerStrides(inner_strides, [&](auto... s) {
+    std::int64_t j = begin % inner;  // only the first run starts mid-row
+    for (std::int64_t flat = begin;;) {
+      typename RunSpace<NumInputs>::Strides offs;
+      for (std::size_t i = 0; i < NumInputs; ++i) {
+        offs[i] = row[i] + j * inner_strides[i];
+      }
+      const std::int64_t len = std::min(inner - j, end - flat);
+      run(flat, offs, len, s...);
+      flat += len;
+      if (flat >= end) return;
+      j = 0;
+      for (int d = outer - 1; d >= 0; --d) {
+        const auto sd = static_cast<std::size_t>(d);
+        ++index[sd];
+        for (std::size_t i = 0; i < NumInputs; ++i) {
+          row[i] += space.strides[sd][i];
+        }
+        if (index[sd] < space.dims[sd]) break;
+        index[sd] = 0;
+        for (std::size_t i = 0; i < NumInputs; ++i) {
+          row[i] -= space.strides[sd][i] * space.dims[sd];
+        }
+      }
+    }
+  });
+}
+
+// Parallel walk over all of `out`, sharded by contiguous flat ranges. The
+// dims merge once per call, before the region opens.
+template <std::size_t NumInputs, typename Run>
+void ForEachBroadcast(
+    const Shape& out,
+    const std::array<std::vector<std::int64_t>, NumInputs>& strides,
+    Run&& run) {
+  const RunSpace<NumInputs> space = MergeRuns<NumInputs>(out, strides);
   if (out.rank() == 0) {
-    std::array<std::int64_t, NumInputs> offs{};
-    fn(0, offs);
+    ForEachRun(space, 0, 1, run);
     return;
   }
-  ParallelForRange(n, GrainFor(2), [&](std::int64_t begin, std::int64_t end) {
-    ForEachBroadcastRange<NumInputs>(out, strides, begin, end, fn);
-  });
+  ParallelForRange(out.NumElements(), GrainFor(2),
+                   [&](std::int64_t begin, std::int64_t end) {
+                     ForEachRun(space, begin, end, run);
+                   });
+}
+
+// The run body of a copy that gathers from `src` into contiguous `dst`.
+auto GatherRun(float* dst, const float* src) {
+  return [dst, src](std::int64_t o, const std::array<std::int64_t, 1>& i,
+                    std::int64_t len, auto s) {
+    for (std::int64_t k = 0; k < len; ++k) dst[o + k] = src[i[0] + k * s];
+  };
 }
 
 // The elementwise op table: one definition per op. Each visitor hands
@@ -209,12 +299,14 @@ Literal BinaryBroadcast(const Literal& a, const Literal& b, Fn fn) {
                      });
     return result;
   }
-  std::array<std::vector<std::int64_t>, 2> strides = {
-      BroadcastStrides(a.shape, out), BroadcastStrides(b.shape, out)};
-  ForEachBroadcast<2>(out, strides,
-                      [&](std::int64_t o, const std::array<std::int64_t, 2>& in) {
-                        r[o] = fn(pa[in[0]], pb[in[1]]);
-                      });
+  ForEachBroadcast<2>(
+      out, {BroadcastStrides(a.shape, out), BroadcastStrides(b.shape, out)},
+      [&](std::int64_t o, const std::array<std::int64_t, 2>& in,
+          std::int64_t len, auto sa, auto sb) {
+        for (std::int64_t k = 0; k < len; ++k) {
+          r[o + k] = fn(pa[in[0] + k * sa], pb[in[1] + k * sb]);
+        }
+      });
   return result;
 }
 
@@ -264,16 +356,33 @@ Literal Reduce(const Literal& in, const OpAttrs& attrs, OpKind kind) {
   Literal result = Literal::Full(out_shape, init);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
+  const RunSpace<1> space = MergeRuns<1>(in.shape, out_strides);
   // Serial: every output accumulates its inputs in ascending input order.
-  ForEachBroadcastRange<1>(
-      in.shape, out_strides, 0, in.size(),
-      [&](std::int64_t flat, const std::array<std::int64_t, 1>& out) {
-        if (kind == OpKind::kReduceMax) {
-          r[out[0]] = std::max(r[out[0]], p[flat]);
-        } else {
-          r[out[0]] += p[flat];
-        }
-      });
+  // Along a run the input is contiguous and the output either moves with
+  // it, so the run adds elementwise across outputs (which vectorizes), or
+  // stays on one output, which the run folds into one scalar in order.
+  const auto accumulate = [&](auto op) {
+    ForEachRun(space, 0, in.size(),
+               [&](std::int64_t flat, const std::array<std::int64_t, 1>& out,
+                   std::int64_t len, auto s) {
+                 const float* x = p + flat;
+                 float* y = r + out[0];
+                 if constexpr (std::is_same_v<decltype(s), ZeroStride>) {
+                   float acc = *y;
+                   for (std::int64_t k = 0; k < len; ++k) acc = op(acc, x[k]);
+                   *y = acc;
+                 } else {
+                   for (std::int64_t k = 0; k < len; ++k) {
+                     y[k * s] = op(y[k * s], x[k]);
+                   }
+                 }
+               });
+  };
+  if (kind == OpKind::kReduceMax) {
+    accumulate([](float acc, float x) { return std::max(acc, x); });
+  } else {
+    accumulate([](float acc, float x) { return acc + x; });
+  }
   if (kind == OpKind::kReduceMean) {
     const float scale = 1.0f / static_cast<float>(reduce_count);
     const std::int64_t m = result.size();
@@ -361,11 +470,8 @@ Literal Transpose(const Literal& in, const OpAttrs& attrs) {
   for (std::int64_t axis : attrs.axes) {
     strides[0].push_back(in_strides[static_cast<std::size_t>(axis)]);
   }
-  ForEachBroadcastRange<1>(
-      out_shape, strides, 0, out_shape.NumElements(),
-      [&](std::int64_t o, const std::array<std::int64_t, 1>& i) {
-        r[o] = p[i[0]];
-      });
+  ForEachRun(MergeRuns<1>(out_shape, strides), 0, out_shape.NumElements(),
+             GatherRun(r, p));
   return result;
 }
 
@@ -373,12 +479,8 @@ Literal BroadcastTo(const Literal& in, const Shape& out) {
   Literal result = Literal::Zeros(out);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
-  std::array<std::vector<std::int64_t>, 1> strides = {
-      BroadcastStrides(in.shape, out)};
-  ForEachBroadcast<1>(out, strides,
-                      [&](std::int64_t o, const std::array<std::int64_t, 1>& i) {
-                        r[o] = p[i[0]];
-                      });
+  ForEachBroadcast<1>(out, {BroadcastStrides(in.shape, out)},
+                      GatherRun(r, p));
   return result;
 }
 
@@ -394,11 +496,8 @@ Literal SliceOp(const Literal& in, const OpAttrs& attrs) {
     base += attrs.starts[static_cast<std::size_t>(d)] *
             in_strides[0][static_cast<std::size_t>(d)];
   }
-  ForEachBroadcastRange<1>(
-      out_shape, in_strides, 0, out_shape.NumElements(),
-      [&](std::int64_t o, const std::array<std::int64_t, 1>& i) {
-        r[o] = p[base + i[0]];
-      });
+  ForEachRun(MergeRuns<1>(out_shape, in_strides), 0,
+             out_shape.NumElements(), GatherRun(r, p + base));
   return result;
 }
 
@@ -414,11 +513,12 @@ Literal PadOp(const Literal& in, const OpAttrs& attrs) {
     base += attrs.pads[static_cast<std::size_t>(2 * d)] *
             out_strides[0][static_cast<std::size_t>(d)];
   }
-  ForEachBroadcastRange<1>(
-      in.shape, out_strides, 0, in.size(),
-      [&](std::int64_t i, const std::array<std::int64_t, 1>& o) {
-        r[base + o[0]] = p[i];
-      });
+  ForEachRun(MergeRuns<1>(in.shape, out_strides), 0, in.size(),
+             [&](std::int64_t i, const std::array<std::int64_t, 1>& o,
+                 std::int64_t len, auto s) {
+               float* y = r + base + o[0];
+               for (std::int64_t k = 0; k < len; ++k) y[k * s] = p[i + k];
+             });
   return result;
 }
 
@@ -912,13 +1012,17 @@ Literal EvalOpLiteralImpl(OpKind kind,
       const float* pc = inputs[0]->data.data();
       const float* pa = inputs[1]->data.data();
       const float* pb = inputs[2]->data.data();
-      std::array<std::vector<std::int64_t>, 3> strides = {
-          BroadcastStrides(inputs[0]->shape, out),
-          BroadcastStrides(inputs[1]->shape, out),
-          BroadcastStrides(inputs[2]->shape, out)};
       ForEachBroadcast<3>(
-          out, strides, [&](std::int64_t o, const std::array<std::int64_t, 3>& in) {
-            r[o] = pc[in[0]] != 0.0f ? pa[in[1]] : pb[in[2]];
+          out,
+          {BroadcastStrides(inputs[0]->shape, out),
+           BroadcastStrides(inputs[1]->shape, out),
+           BroadcastStrides(inputs[2]->shape, out)},
+          [&](std::int64_t o, const std::array<std::int64_t, 3>& in,
+              std::int64_t len, auto sc, auto sa, auto sb) {
+            for (std::int64_t k = 0; k < len; ++k) {
+              r[o + k] = pc[in[0] + k * sc] != 0.0f ? pa[in[1] + k * sa]
+                                                     : pb[in[2] + k * sb];
+            }
           });
       return result;
     }

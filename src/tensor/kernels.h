@@ -14,16 +14,22 @@
 // callers, the standalone elementwise kernels and the epilogue that
 // MatMul/Conv2D apply to their output tiles. A fused chain therefore runs
 // the unfused float expressions by construction (pinned op by op in
-// tests/xla/fusion2_test.cpp). Strided iteration — broadcasts, Reduce,
-// Transpose, Slice, Pad — goes through one odometer walker, and the
-// pooling kernels through one window walk.
+// tests/xla/fusion2_test.cpp). Strided iteration — broadcasts, Select,
+// BroadcastTo, Reduce, Transpose, Slice, Pad — goes through one run
+// walker: it drops size-1 dims, merges adjacent dims that every operand
+// walks contiguously, and hands each kernel maximal runs along the
+// innermost merged dim, so the kernel's run loop is unit-stride or
+// loop-invariant and vectorizes (tested against a divide/modulo reference
+// in tests/tensor/strided_kernels_test.cpp). The pooling kernels go
+// through one window walk.
 //
 // Hot kernels shard across the process-wide intra-op thread pool
 // (support/threadpool.h). Parallelism is only ever over disjoint output
-// slices — never over reduction axes — so every kernel's result is
-// bit-identical for any thread count (tested in
-// tests/tensor/parallel_kernels_test.cpp). Reduce, Transpose, Slice and
-// Pad run serially on the calling thread.
+// slices — never over reduction axes — so every kernel's non-NaN results
+// are bit-identical for any thread count, and a NaN result is NaN for any
+// thread count (tested in tests/tensor/parallel_kernels_test.cpp). Reduce,
+// Transpose, Slice and Pad run serially on the calling thread; Reduce
+// keeps each output's ascending accumulation order.
 #pragma once
 
 #include <vector>

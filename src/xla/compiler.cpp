@@ -769,18 +769,30 @@ std::shared_ptr<Executable> CompileCache::GetOrCompile(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = cache_.find(key);
   if (it != cache_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    CacheHitCounter().Increment();
-    if (compile_seconds != nullptr) *compile_seconds = 0.0;
-    return it->second;
+    for (const Entry& entry : it->second) {
+      if (!entry.module.SameProgramAs(module)) continue;
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      CacheHitCounter().Increment();
+      if (compile_seconds != nullptr) *compile_seconds = 0.0;
+      return entry.executable;
+    }
   }
+  // A fingerprint match that is a different program (say, another constant
+  // payload) is a miss, compiled and kept beside the first under its key.
   misses_.fetch_add(1, std::memory_order_relaxed);
   CacheMissCounter().Increment();
   CompileResult result = Compile(module, options_);
   total_compile_seconds_ += result.compile_seconds;
   if (compile_seconds != nullptr) *compile_seconds = result.compile_seconds;
-  cache_.emplace(key, result.executable);
+  cache_[key].push_back({module, result.executable});
   return result.executable;
+}
+
+std::size_t CompileCache::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t executables = 0;
+  for (const auto& [key, entries] : cache_) executables += entries.size();
+  return executables;
 }
 
 void CompileCache::Clear() {

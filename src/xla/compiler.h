@@ -218,10 +218,8 @@ class CompileCache {
     std::lock_guard<std::mutex> lock(mutex_);
     return total_compile_seconds_;
   }
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.size();
-  }
+  // Number of cached executables.
+  std::size_t size() const;
   // Resets the cache to its freshly-constructed state: compiled programs
   // are dropped AND the hit/miss/compile-time statistics are zeroed, so
   // back-to-back ablation runs that Clear() between them start from
@@ -234,7 +232,15 @@ class CompileCache {
   // the accessors stay lock-free (benches poll them mid-run); every other
   // member is only touched under the lock.
   mutable std::mutex mutex_;
-  std::map<std::uint64_t, std::shared_ptr<Executable>> cache_;
+  // Keyed by Fingerprint(), which skips constant payloads, so one key may
+  // hold several programs; each entry keeps the module it was compiled
+  // from, and a lookup hits only an entry whose module is SameProgramAs()
+  // the one asked for.
+  struct Entry {
+    HloModule module;
+    std::shared_ptr<Executable> executable;
+  };
+  std::map<std::uint64_t, std::vector<Entry>> cache_;
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};
   double total_compile_seconds_ = 0.0;

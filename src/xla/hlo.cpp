@@ -1,5 +1,7 @@
 #include "xla/hlo.h"
 
+#include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "support/hashing.h"
@@ -68,6 +70,51 @@ std::uint64_t HloModule::Fingerprint() const {
   }
   for (HloId r : roots_) h = HashCombine(h, static_cast<std::uint64_t>(r));
   return h;
+}
+
+namespace {
+
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+// OpAttrs equality with the scalar compared by its bits, as Fingerprint()
+// hashes it: -0 and +0 differ, and a NaN scalar matches itself.
+bool SameAttrs(const OpAttrs& a, const OpAttrs& b) {
+  if (!SameBits(a.scalar, b.scalar)) return false;
+  if (!std::isnan(a.scalar)) return a == b;
+  OpAttrs a_zero = a, b_zero = b;
+  a_zero.scalar = b_zero.scalar = 0.0f;
+  return a_zero == b_zero;
+}
+
+bool SameLiteral(const Literal& a, const Literal& b) {
+  if (a.shape != b.shape) return false;
+  return a.size() == 0 ||
+         std::memcmp(a.data.data(), b.data.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+}  // namespace
+
+bool HloModule::SameProgramAs(const HloModule& other) const {
+  if (instructions_.size() != other.instructions_.size() ||
+      roots_ != other.roots_ || num_parameters_ != other.num_parameters_) {
+    return false;
+  }
+  for (std::size_t i = 0; i < instructions_.size(); ++i) {
+    const HloInstruction& a = instructions_[i];
+    const HloInstruction& b = other.instructions_[i];
+    if (a.kind != b.kind || !SameAttrs(a.attrs, b.attrs) ||
+        a.shape != b.shape || a.operands != b.operands ||
+        a.parameter_index != b.parameter_index) {
+      return false;
+    }
+    if (a.kind == OpKind::kConstant && !SameLiteral(a.literal, b.literal)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<int> HloModule::UseCounts() const {

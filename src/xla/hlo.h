@@ -68,6 +68,12 @@ class HloModule {
   // XLA-program cache keys work across training steps).
   std::uint64_t Fingerprint() const;
 
+  // Identity, not a hash: the same instructions (kind, attributes, shape,
+  // operands, parameter index, and constant shape and payload bytes) and
+  // the same roots. Names are ignored. A Fingerprint() match is only a
+  // candidate; this decides whether two modules are one program.
+  bool SameProgramAs(const HloModule& other) const;
+
   // Number of users of each instruction (used by the fusion pass).
   std::vector<int> UseCounts() const;
 

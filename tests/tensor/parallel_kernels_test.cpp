@@ -95,7 +95,7 @@ TEST(ParallelKernelsTest, ElementwiseAndSoftmaxBitIdentical) {
 
   const Literal y = RandomLiteral(Shape({33, 517}), 9);
   ExpectThreadCountInvariant(OpKind::kMul, {x, y});
-  // Broadcast path exercises the seeded-odometer range iteration.
+  // Broadcast path exercises the run walker seeded at shard edges.
   const Literal row = RandomLiteral(Shape({517}), 10);
   ExpectThreadCountInvariant(OpKind::kAdd, {x, row});
   const Literal col = RandomLiteral(Shape({33, 1}), 11);

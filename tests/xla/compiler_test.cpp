@@ -1,6 +1,7 @@
 #include "xla/compiler.h"
 
 #include <cmath>
+#include <limits>
 #include <gtest/gtest.h>
 
 namespace s4tf::xla {
@@ -159,6 +160,57 @@ TEST(CompileCacheTest, ShapeChangeMisses) {
   EXPECT_EQ(cache.misses(), 2);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+// Fingerprint() skips constant payloads, so programs that differ only in a
+// constant share a cache key. The cache must still tell them apart: the
+// second program is a miss with its own executable, and each later lookup
+// hits the entry whose payload matches.
+TEST(CompileCacheTest, ConstantPayloadIsPartOfIdentity) {
+  auto build = [](float constant) {
+    HloModule m;
+    const HloId p = m.AddParameter(Shape({1}), 0);
+    const HloId c = m.AddConstant(Literal::Full(Shape({1}), constant));
+    m.AddRoot(m.AddInstruction(OpKind::kAdd, {p, c}));
+    return m;
+  };
+  ASSERT_EQ(build(1.0f).Fingerprint(), build(100.0f).Fingerprint());
+  CompileCache cache;
+  const auto one = cache.GetOrCompile(build(1.0f));
+  const auto hundred = cache.GetOrCompile(build(100.0f));
+  const std::vector<Literal> p = {Literal::Full(Shape({1}), 1.0f)};
+  EXPECT_EQ(hundred->Run(p)[0].data[0], 101.0f);
+  EXPECT_EQ(one->Run(p)[0].data[0], 2.0f);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.size(), 2u);
+
+  EXPECT_EQ(cache.GetOrCompile(build(100.0f)).get(), hundred.get());
+  EXPECT_EQ(cache.GetOrCompile(build(1.0f)).get(), one.get());
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 2);
+}
+
+// Attribute scalars compare by their bits, as the fingerprint hashes them:
+// a NaN scalar matches itself, and -0 is a different program from +0.
+TEST(CompileCacheTest, ScalarAttributesCompareByBits) {
+  auto build = [](float scalar) {
+    HloModule m;
+    const HloId p = m.AddParameter(Shape({4}), 0);
+    m.AddRoot(m.AddInstruction(OpKind::kAddScalar, {p},
+                               OpAttrs{.scalar = scalar}));
+    return m;
+  };
+  CompileCache cache;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(cache.GetOrCompile(build(nan)).get(),
+            cache.GetOrCompile(build(nan)).get());
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 1);
+  cache.GetOrCompile(build(0.0f));
+  cache.GetOrCompile(build(-0.0f));
+  EXPECT_EQ(cache.misses(), 3);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 // Regression test for the documented Clear() semantics: dropping the

@@ -16,6 +16,10 @@
 # bench_compare against the committed baselines, leaving the repo root
 # untouched — the local equivalent of CI's bench-artifacts job. Exit is
 # non-zero on any deterministic diff.
+#
+# Every bench runs even when an earlier one exits non-zero, and --check
+# still compares afterwards; the script then names each failed bench and
+# exits non-zero.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -56,13 +60,30 @@ for bench in "${benches[@]}"; do
     echo "missing bench binary: $binary (build the 'bench' targets first)" >&2
     exit 1
   fi
-  echo "== $bench"
-  S4TF_BENCH_ARTIFACT_ONLY=1 S4TF_BENCH_OUT_DIR="$out_dir" \
-    "$binary" > /dev/null
 done
 
+failed=()
+for bench in "${benches[@]}"; do
+  echo "== $bench"
+  if ! S4TF_BENCH_ARTIFACT_ONLY=1 S4TF_BENCH_OUT_DIR="$out_dir" \
+      "$build_dir/bench/$bench" > /dev/null; then
+    echo "FAILED: $bench exited non-zero" >&2
+    failed+=("$bench")
+  fi
+done
+
+compare_failed=0
 if [[ "$check_mode" == 1 ]]; then
-  "$build_dir/bench/bench_compare" "$repo_root" "$out_dir"
+  "$build_dir/bench/bench_compare" "$repo_root" "$out_dir" || compare_failed=1
+fi
+
+if (( ${#failed[@]} > 0 )); then
+  echo "benches that exited non-zero: ${failed[*]}" >&2
+fi
+if (( ${#failed[@]} > 0 || compare_failed )); then
+  exit 1
+fi
+if [[ "$check_mode" == 1 ]]; then
   echo "check passed: fresh artifacts match the committed baselines"
 else
   echo "refreshed $(ls "$repo_root"/BENCH_*.json | wc -l) artifacts in $repo_root"
