@@ -5,8 +5,13 @@
 // rows measure the speedup from ParallelForRange sharding directly.
 // Compare the wall-clock "Time" column (UseRealTime): CPU time stays
 // roughly constant while wall time shrinks. The BM_Strided cases report
-// the achieved GB/s of the broadcast, reduction and transpose kernels.
+// the achieved GB/s of the broadcast, reduction and transpose kernels, and
+// the BM_ConvKernel cases the achieved FLOP/s of the three conv kernels.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
+#include <utility>
 
 #include "device/cost_model.h"
 #include "gbench_main.h"
@@ -244,6 +249,78 @@ BENCHMARK_CAPTURE(BM_Strided, reduce_sum_last_axis, OpKind::kReduceSum,
                   {Shape({8, 32, 32, 16})}, OpAttrs{.axes = {3}});
 BENCHMARK_CAPTURE(BM_Strided, transpose_400x120, OpKind::kTranspose,
                   {Shape({400, 120})}, OpAttrs{.axes = {1, 0}});
+
+// The three conv kernels on the LeNet (batch 32) and ResNet-20 (batch 8)
+// layer shapes, at one thread, named BM_ConvKernel/<kernel>/<layer>. The
+// forward and filter-gradient inputs are post-ReLU (about half zeros), as
+// in training. The three kernels do the same multiply-adds, so each
+// reports the forward's OpFlops and items/s reads as FLOP/s.
+void BM_ConvKernel(benchmark::State& state, OpKind kind, const Shape& in,
+                   const Shape& filter, std::int64_t stride, Padding padding) {
+  SetIntraOpParallelism(1);
+  OpAttrs attrs;
+  attrs.stride_h = attrs.stride_w = stride;
+  attrs.padding = padding;
+  const Shape out = InferShape(OpKind::kConv2D, {in, filter}, attrs);
+  std::vector<float> relu = RandomLiteral(in, 30).data.ToVector();
+  for (float& x : relu) x = std::max(x, 0.0f);
+  const Literal input = Literal::FromVector(in, std::move(relu));
+  std::vector<Literal> inputs;
+  if (kind == OpKind::kConv2D) {
+    inputs = {input, RandomLiteral(filter, 31)};
+  } else if (kind == OpKind::kConv2DBackpropInput) {
+    inputs = {RandomLiteral(out, 32), RandomLiteral(filter, 31)};
+    attrs.shape = in.dims();
+  } else {
+    inputs = {input, RandomLiteral(out, 32)};
+    attrs.shape = filter.dims();
+  }
+  for (auto _ : state) {
+    Literal result = EvalOpLiteral(kind, inputs, attrs);
+    benchmark::DoNotOptimize(result.data.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          OpFlops(OpKind::kConv2D, {in, filter}, out, attrs));
+  SetIntraOpParallelism(0);
+}
+
+const bool kConvKernelBenchmarks = [] {
+  struct Layer {
+    const char* name;
+    Shape in, filter;
+    std::int64_t stride;
+    Padding padding;
+  };
+  const Layer layers[] = {
+      {"lenet_conv1_5x5_1to6_same", Shape({32, 28, 28, 1}),
+       Shape({5, 5, 1, 6}), 1, Padding::kSame},
+      {"lenet_conv2_5x5_6to16_valid", Shape({32, 14, 14, 6}),
+       Shape({5, 5, 6, 16}), 1, Padding::kValid},
+      {"resnet_3x3_16to16_32px", Shape({8, 32, 32, 16}),
+       Shape({3, 3, 16, 16}), 1, Padding::kSame},
+      {"resnet_3x3_32to32_16px", Shape({8, 16, 16, 32}),
+       Shape({3, 3, 32, 32}), 1, Padding::kSame},
+      {"resnet_3x3_64to64_8px", Shape({8, 8, 8, 64}), Shape({3, 3, 64, 64}),
+       1, Padding::kSame},
+      {"resnet_1x1_16to32_stride2", Shape({8, 32, 32, 16}),
+       Shape({1, 1, 16, 32}), 2, Padding::kSame},
+  };
+  const std::pair<const char*, OpKind> kernels[] = {
+      {"forward", OpKind::kConv2D},
+      {"backprop_input", OpKind::kConv2DBackpropInput},
+      {"backprop_filter", OpKind::kConv2DBackpropFilter},
+  };
+  for (const auto& [kernel, kind] : kernels) {
+    for (const Layer& layer : layers) {
+      const std::string name =
+          std::string("BM_ConvKernel/") + kernel + "/" + layer.name;
+      benchmark::RegisterBenchmark(name.c_str(), BM_ConvKernel, kind,
+                                   layer.in, layer.filter, layer.stride,
+                                   layer.padding);
+    }
+  }
+  return true;
+}();
 
 }  // namespace
 }  // namespace s4tf

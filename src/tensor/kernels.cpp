@@ -4,10 +4,12 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -719,6 +721,418 @@ void ApplyEpilogueTile(const std::vector<kernels::EpilogueOp>& epilogue,
   }
 }
 
+// --- Conv microkernels -----------------------------------------------------
+//
+// The three conv kernels run register-blocked blocks of 4-wide GCC/Clang
+// generic vectors, which lower to SSE2 on baseline x86-64 with no
+// intrinsics. Each keeps every output element's accumulation order of the
+// serial loop nest (DESIGN.md decision 6; the loop nests live on as the
+// reference in tests/tensor/conv_kernels_test.cpp). The forward and the
+// filter gradient skip a term whose input value is zero, as the loop nest
+// does, in one of two ways, both without a branch per term:
+//   - Masked: a block whose lanes are pixels or filter taps adds a masked
+//     product instead. That is exact: an accumulator starts at +0.0f, and
+//     a round-to-nearest sum is -0 only when both addends are, so an
+//     accumulator is never -0 and acc + (+0.0f) is acc bit for bit (a NaN
+//     stays NaN).
+//   - Gathered: when out_c is wide, lanes are output channels. The nonzero
+//     terms of one reduction are first gathered, in order, with the offset
+//     of the row they multiply, and the block adds only those.
+typedef float F4 __attribute__((vector_size(16)));
+typedef std::int32_t I4 __attribute__((vector_size(16)));
+
+// Lanes per vector: pixels in a masked forward block, consecutive filter
+// taps in a masked filter-gradient block.
+constexpr std::int64_t kConvLanes = 4;
+// Output channels per masked block.
+constexpr std::int64_t kMaskedChannels = 8;
+// Output channels per gathered block (8 vectors), and the narrowest out_c
+// that is gathered. Below it the gather costs more than the masked
+// products it saves (LeNet conv1, 6 channels, is 1.6x slower gathered).
+constexpr std::int64_t kGatheredChannels = 32;
+constexpr std::int64_t kMinGatheredChannels = 16;
+// Shards per conv region at most. Each shard pays an atomic claim, a
+// counter bump, a trace check and its scratch setup (DESIGN.md
+// decision 6).
+constexpr std::int64_t kConvMaxShards = 64;
+
+std::int64_t CeilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
+
+std::int64_t ConvGrain(std::int64_t units, std::int64_t cost_per_unit) {
+  return std::max(GrainFor(cost_per_unit), CeilDiv(units, kConvMaxShards));
+}
+
+// Gathered blocks read whole vectors of a row of out_c channels.
+bool Gathered(std::int64_t out_c) {
+  return out_c >= kMinGatheredChannels && out_c % kConvLanes == 0;
+}
+
+struct ConvGeometry {
+  std::int64_t batch, in_h, in_w, in_c;
+  std::int64_t f_h, f_w, out_c;
+  std::int64_t out_h, out_w;
+  std::int64_t stride_h, stride_w, pad_h, pad_w;
+  std::int64_t k_len;  // one filter row: k = kw * in_c + ic
+};
+
+ConvGeometry MakeConvGeometry(const Shape& in, const Shape& filter,
+                              const Shape& out, std::int64_t stride_h,
+                              std::int64_t stride_w, Padding padding) {
+  ConvGeometry g;
+  g.batch = in.dim(0);
+  g.in_h = in.dim(1);
+  g.in_w = in.dim(2);
+  g.in_c = in.dim(3);
+  g.f_h = filter.dim(0);
+  g.f_w = filter.dim(1);
+  g.out_c = filter.dim(3);
+  g.out_h = out.dim(1);
+  g.out_w = out.dim(2);
+  g.stride_h = stride_h;
+  g.stride_w = stride_w;
+  g.pad_h = kernels::PadLow(g.in_h, g.out_h, g.f_h, stride_h, padding);
+  g.pad_w = kernels::PadLow(g.in_w, g.out_w, g.f_w, stride_w, padding);
+  g.k_len = g.f_w * g.in_c;
+  return g;
+}
+
+F4 Load4(const float* p) {
+  F4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// x * y in the lanes `keep` sets, else +0.0f. The product is masked, not
+// x: 0 * Inf is NaN, and the reference skips that term.
+F4 MaskedProduct(F4 x, float y, I4 keep) {
+  return reinterpret_cast<F4>(reinterpret_cast<I4>(x * y) & keep);
+}
+
+// Calls fn(std::integral_constant<int, N>) with N = min(n, 8): a block
+// runs with its exact width as a compile-time constant, so a partial
+// block has no spare accumulators and reads nothing past its last channel.
+template <typename Fn>
+void WithBlockWidth(std::int64_t n, Fn&& fn) {
+  switch (n) {
+    case 1: return fn(std::integral_constant<int, 1>{});
+    case 2: return fn(std::integral_constant<int, 2>{});
+    case 3: return fn(std::integral_constant<int, 3>{});
+    case 4: return fn(std::integral_constant<int, 4>{});
+    case 5: return fn(std::integral_constant<int, 5>{});
+    case 6: return fn(std::integral_constant<int, 6>{});
+    case 7: return fn(std::integral_constant<int, 7>{});
+    default: return fn(std::integral_constant<int, 8>{});
+  }
+}
+
+// A nonzero term of a gathered reduction: the input value, and the offset
+// of the out_c-wide row it multiplies (a filter row for the forward, a
+// grad_out pixel for the filter gradient).
+struct Term {
+  std::int64_t row;
+  float value;
+};
+
+// Appends term (row, value) to `terms` at n, keeping it iff value != 0
+// (NaN is kept, as the reference keeps it). Branch-free.
+void PushTerm(Term* terms, std::size_t& n, std::int64_t row, float value) {
+  terms[n] = {row, value};
+  n += value != 0.0f;
+}
+
+// One gathered block: acc (4 * V channels starting at `base`) += each
+// term's value times its row, in term order.
+template <int V>
+void AccumulateTerms(const Term* terms, std::size_t n, const float* base,
+                     F4 (&acc)[V]) {
+  for (std::size_t e = 0; e < n; ++e) {
+    const float* row = base + terms[e].row;
+    for (int u = 0; u < V; ++u) acc[u] += terms[e].value * Load4(row + 4 * u);
+  }
+}
+
+// Runs block(acc, c0, count) for each gathered block of out_c channels,
+// with acc holding the block's reduction over `terms`.
+template <typename Block>
+void ForEachGatheredBlock(const Term* terms, std::size_t n, const float* rows,
+                          std::int64_t out_c, Block&& block) {
+  for (std::int64_t c0 = 0; c0 < out_c; c0 += kGatheredChannels) {
+    const std::int64_t count = std::min(kGatheredChannels, out_c - c0);
+    WithBlockWidth(count / kConvLanes, [&](auto vectors) {
+      constexpr int kV = decltype(vectors)::value;
+      F4 acc[kV] = {};
+      AccumulateTerms<kV>(terms, n, rows + c0, acc);
+      float lanes[kConvLanes * kV];
+      std::memcpy(lanes, acc, sizeof(lanes));
+      block(lanes, c0, count);
+    });
+  }
+}
+
+// Copies one NHWC input row to `dst` with `padded_w` columns: column c
+// holds input column c - pad_w, or zeros outside the image.
+void CopyPaddedRow(const float* src, std::int64_t in_w, std::int64_t in_c,
+                   std::int64_t pad_w, std::int64_t padded_w, float* dst) {
+  const std::int64_t lead = std::clamp<std::int64_t>(pad_w, 0, padded_w);
+  const std::int64_t body =
+      std::clamp<std::int64_t>(padded_w - pad_w, 0, in_w);
+  std::fill(dst, dst + lead * in_c, 0.0f);
+  std::copy(src, src + body * in_c, dst + lead * in_c);
+  std::fill(dst + (lead + body) * in_c, dst + padded_w * in_c, 0.0f);
+}
+
+// The output positions [begin, end) whose window covers padded input
+// position `t` (input index + low padding) along one spatial dim.
+std::pair<std::int64_t, std::int64_t> CoveringOutputs(std::int64_t t,
+                                                      std::int64_t window,
+                                                      std::int64_t stride,
+                                                      std::int64_t out) {
+  const std::int64_t begin = t < window ? 0 : (t - window + stride) / stride;
+  return {begin, std::max(begin, std::min(out, t / stride + 1))};
+}
+
+// The output columns [begin, end) whose filter column kw lands inside the
+// image (0 <= ow * stride_w - pad_w + kw < in_w).
+std::pair<std::int64_t, std::int64_t> InsideColumns(const ConvGeometry& g,
+                                                    std::int64_t kw) {
+  const std::int64_t first = g.pad_w - kw;
+  const std::int64_t last = g.in_w - 1 + g.pad_w - kw;
+  const std::int64_t begin =
+      std::min(g.out_w, first <= 0 ? 0 : CeilDiv(first, g.stride_w));
+  return {begin, std::clamp<std::int64_t>(
+                     last < 0 ? 0 : last / g.stride_w + 1, begin, g.out_w)};
+}
+
+// Masked forward, for narrow out_c: a block is 4 pixels of one output row
+// (the lanes) x up to 8 channels. For each valid kh, k walks the filter
+// row, which for each pixel is one contiguous run of its zero-padded input
+// row; padding taps and the last block's spare lanes read zeros.
+void ConvForwardMasked(const ConvGeometry& g, const float* input,
+                       const float* filter, float* out,
+                       const std::vector<kernels::EpilogueOp>& epilogue) {
+  const std::int64_t padded_w = std::max<std::int64_t>(
+      (CeilDiv(g.out_w, kConvLanes) * kConvLanes - 1) * g.stride_w + g.f_w, 0);
+  const std::int64_t row_len = padded_w * g.in_c;
+  const std::int64_t step = g.stride_w * g.in_c;  // between lanes' runs
+
+  const std::int64_t rows = g.batch * g.out_h;
+  const std::int64_t row_cost = g.out_w * g.f_h * g.k_len * g.out_c * 2;
+  ParallelForRange(rows, ConvGrain(rows, row_cost), [&](
+                       std::int64_t row_begin, std::int64_t row_end) {
+    std::vector<float> padded(static_cast<std::size_t>(g.f_h * row_len));
+    for (std::int64_t row = row_begin; row < row_end; ++row) {
+      const std::int64_t b = row / g.out_h;
+      const std::int64_t ih0 = row % g.out_h * g.stride_h - g.pad_h;
+      const std::int64_t kh_begin = std::max<std::int64_t>(0, -ih0);
+      const std::int64_t kh_end = std::min(g.f_h, g.in_h - ih0);
+      for (std::int64_t kh = kh_begin; kh < kh_end; ++kh) {
+        CopyPaddedRow(input + (b * g.in_h + ih0 + kh) * g.in_w * g.in_c,
+                      g.in_w, g.in_c, g.pad_w, padded_w,
+                      padded.data() + kh * row_len);
+      }
+      for (std::int64_t c0 = 0; c0 < g.out_c; c0 += kMaskedChannels) {
+        WithBlockWidth(g.out_c - c0, [&](auto channels) {
+          constexpr int kN = decltype(channels)::value;
+          for (std::int64_t ow0 = 0; ow0 < g.out_w; ow0 += kConvLanes) {
+            F4 acc[kN] = {};
+            for (std::int64_t kh = kh_begin; kh < kh_end; ++kh) {
+              const float* r = padded.data() + kh * row_len + ow0 * step;
+              const float* f = filter + kh * g.k_len * g.out_c + c0;
+              for (std::int64_t k = 0; k < g.k_len; ++k) {
+                const F4 iv = {r[k], r[k + step], r[k + 2 * step],
+                               r[k + 3 * step]};
+                const I4 keep = iv != 0.0f;
+                const float* fk = f + k * g.out_c;
+                for (int c = 0; c < kN; ++c) {
+                  acc[c] += MaskedProduct(iv, fk[c], keep);
+                }
+              }
+            }
+            const std::int64_t pixels =
+                std::min(kConvLanes, g.out_w - ow0);
+            for (std::int64_t p = 0; p < pixels; ++p) {
+              const std::int64_t at = (row * g.out_w + ow0 + p) * g.out_c + c0;
+              float tile[kN];
+              for (int c = 0; c < kN; ++c) tile[c] = acc[c][p];
+              ApplyEpilogueTile(epilogue, tile, kN, c0, at);
+              std::copy(tile, tile + kN, out + at);
+            }
+          }
+        });
+      }
+    }
+  });
+}
+
+// Gathered forward, for wide out_c: per output pixel, the nonzero input
+// values of its window in (kh, kw, ic) order, each with its filter row.
+void ConvForwardGathered(const ConvGeometry& g, const float* input,
+                         const float* filter, float* out,
+                         const std::vector<kernels::EpilogueOp>& epilogue) {
+  const std::int64_t rows = g.batch * g.out_h;
+  const std::int64_t row_cost = g.out_w * g.f_h * g.k_len * g.out_c * 2;
+  ParallelForRange(rows, ConvGrain(rows, row_cost), [&](
+                       std::int64_t row_begin, std::int64_t row_end) {
+    std::vector<Term> terms(static_cast<std::size_t>(g.f_h * g.k_len));
+    for (std::int64_t row = row_begin; row < row_end; ++row) {
+      const std::int64_t b = row / g.out_h;
+      const std::int64_t ih0 = row % g.out_h * g.stride_h - g.pad_h;
+      const std::int64_t kh_begin = std::max<std::int64_t>(0, -ih0);
+      const std::int64_t kh_end = std::min(g.f_h, g.in_h - ih0);
+      for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+        const std::int64_t iw0 = ow * g.stride_w - g.pad_w;
+        const std::int64_t k_begin = std::max<std::int64_t>(0, -iw0) * g.in_c;
+        const std::int64_t k_end = std::min(g.f_w, g.in_w - iw0) * g.in_c;
+        std::size_t n = 0;
+        for (std::int64_t kh = kh_begin; kh < kh_end; ++kh) {
+          // Input element of tap k; k >= k_begin keeps it inside the row.
+          const std::int64_t at =
+              ((b * g.in_h + ih0 + kh) * g.in_w + iw0) * g.in_c;
+          for (std::int64_t k = k_begin; k < k_end; ++k) {
+            PushTerm(terms.data(), n, (kh * g.k_len + k) * g.out_c,
+                     input[at + k]);
+          }
+        }
+        const std::int64_t at = (row * g.out_w + ow) * g.out_c;
+        ForEachGatheredBlock(
+            terms.data(), n, filter, g.out_c,
+            [&](float* tile, std::int64_t c0, std::int64_t count) {
+              ApplyEpilogueTile(epilogue, tile, count, c0, at + c0);
+              std::copy(tile, tile + count, out + at + c0);
+            });
+      }
+    }
+  });
+}
+
+// One grad_in pixel from its n contributing (output pixel, tap) pairs in
+// ascending (oh, ow) order: g_taps[i] is the output pixel's gradient row,
+// f_taps[i] the tap's [oc][ic_padded] transposed filter. Each dot runs
+// oc ascending from +0.0f over 4 * V channels; when V < 4, the dots of
+// 4 / V taps run together so four independent chains stay in flight, and
+// are then added to the accumulator in order.
+template <int V>
+void GatherInputGrad(const float* const* g_taps, const float* const* f_taps,
+                     std::size_t n, std::int64_t out_c, std::int64_t ic_padded,
+                     std::int64_t in_c, float* grad_in) {
+  constexpr std::size_t kTaps = 4 / V;
+  for (std::int64_t ic0 = 0; ic0 < in_c; ic0 += 4 * V) {
+    F4 acc[V] = {};
+    std::size_t i = 0;
+    for (; i + kTaps <= n; i += kTaps) {
+      F4 dot[kTaps][V] = {};
+      for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        for (std::size_t t = 0; t < kTaps; ++t) {
+          const float gv = g_taps[i + t][oc];
+          const float* f = f_taps[i + t] + oc * ic_padded + ic0;
+          for (int u = 0; u < V; ++u) dot[t][u] += gv * Load4(f + 4 * u);
+        }
+      }
+      for (std::size_t t = 0; t < kTaps; ++t) {
+        for (int u = 0; u < V; ++u) acc[u] += dot[t][u];
+      }
+    }
+    for (; i < n; ++i) {
+      F4 dot[V] = {};
+      for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        const float gv = g_taps[i][oc];
+        const float* f = f_taps[i] + oc * ic_padded + ic0;
+        for (int u = 0; u < V; ++u) dot[u] += gv * Load4(f + 4 * u);
+      }
+      for (int u = 0; u < V; ++u) acc[u] += dot[u];
+    }
+    float lanes[4 * V];
+    std::memcpy(lanes, acc, sizeof(lanes));
+    std::copy(lanes, lanes + std::min<std::int64_t>(4 * V, in_c - ic0),
+              grad_in + ic0);
+  }
+}
+
+// Masked filter gradient, for narrow out_c: one unit is grad_filter rows
+// k0..k0+3 of filter row kh (the lanes) x up to 8 channels, summed over
+// (b, oh, ow) ascending. Rows whose ih is outside the image are skipped.
+// Where all four lanes' columns are inside the image one load reads them;
+// at the borders, lanes outside the image (or past the filter row) read
+// zero, and zero lanes are masked.
+template <int N>
+void FilterGradMaskedUnit(const ConvGeometry& g, const float* input,
+                          const float* grad_out, float* grad_filter,
+                          std::int64_t kh, std::int64_t k0, std::int64_t c0) {
+  std::int64_t lane_kw[kConvLanes], lane_ic[kConvLanes];
+  for (std::int64_t l = 0; l < kConvLanes; ++l) {
+    lane_kw[l] = (k0 + l) / g.in_c;
+    lane_ic[l] = (k0 + l) % g.in_c;
+  }
+  const std::int64_t lanes = std::min(kConvLanes, g.k_len - k0);
+  // Inside: lane 0's column >= 0 and the last lane's column < in_w.
+  const std::int64_t ow_lo = InsideColumns(g, lane_kw[0]).first;
+  const std::int64_t ow_hi = std::max(
+      ow_lo, InsideColumns(g, lane_kw[kConvLanes - 1]).second);
+  F4 acc[N] = {};
+  for (std::int64_t b = 0; b < g.batch; ++b) {
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      const std::int64_t ih = oh * g.stride_h + kh - g.pad_h;
+      if (ih < 0 || ih >= g.in_h) continue;
+      const float* in_row = input + (b * g.in_h + ih) * g.in_w * g.in_c;
+      const float* g_row =
+          grad_out + (b * g.out_h + oh) * g.out_w * g.out_c + c0;
+      const auto add = [&](std::int64_t ow, F4 iv) {
+        const I4 keep = iv != 0.0f;
+        const float* gp = g_row + ow * g.out_c;
+        for (int c = 0; c < N; ++c) acc[c] += MaskedProduct(iv, gp[c], keep);
+      };
+      const auto border = [&](std::int64_t ow) {
+        F4 iv = {};
+        for (std::int64_t l = 0; l < lanes; ++l) {
+          const std::int64_t iw = ow * g.stride_w - g.pad_w + lane_kw[l];
+          if (iw >= 0 && iw < g.in_w) iv[l] = in_row[iw * g.in_c + lane_ic[l]];
+        }
+        add(ow, iv);
+      };
+      for (std::int64_t ow = 0; ow < ow_lo; ++ow) border(ow);
+      for (std::int64_t ow = ow_lo; ow < ow_hi; ++ow) {
+        add(ow, Load4(in_row + ((ow * g.stride_w - g.pad_w) * g.in_c + k0)));
+      }
+      for (std::int64_t ow = ow_hi; ow < g.out_w; ++ow) border(ow);
+    }
+  }
+  for (std::int64_t l = 0; l < lanes; ++l) {
+    float* gf = grad_filter + (kh * g.k_len + k0 + l) * g.out_c + c0;
+    for (int c = 0; c < N; ++c) gf[c] = acc[c][l];
+  }
+}
+
+// Gathered filter gradient, for wide out_c: one unit is grad_filter row
+// (kh, k): the nonzero inputs at that tap over (b, oh, ow) ascending, each
+// with its grad_out pixel row.
+void FilterGradGatheredUnit(const ConvGeometry& g, const float* input,
+                            const float* grad_out, float* grad_filter,
+                            std::int64_t kh, std::int64_t k, Term* terms) {
+  const std::int64_t kw = k / g.in_c, ic = k % g.in_c;
+  const auto [ow_begin, ow_end] = InsideColumns(g, kw);
+  std::size_t n = 0;
+  for (std::int64_t b = 0; b < g.batch; ++b) {
+    for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+      const std::int64_t ih = oh * g.stride_h + kh - g.pad_h;
+      if (ih < 0 || ih >= g.in_h) continue;
+      // Input element of output column ow; ow >= ow_begin keeps it inside
+      // the row.
+      const std::int64_t at =
+          ((b * g.in_h + ih) * g.in_w + kw - g.pad_w) * g.in_c + ic;
+      const std::int64_t pixel0 = (b * g.out_h + oh) * g.out_w;
+      for (std::int64_t ow = ow_begin; ow < ow_end; ++ow) {
+        PushTerm(terms, n, (pixel0 + ow) * g.out_c,
+                 input[at + ow * g.stride_w * g.in_c]);
+      }
+    }
+  }
+  float* gf = grad_filter + (kh * g.k_len + k) * g.out_c;
+  ForEachGatheredBlock(terms, n, grad_out, g.out_c,
+                       [&](float* tile, std::int64_t c0, std::int64_t count) {
+                         std::copy(tile, tile + count, gf + c0);
+                       });
+}
+
 }  // namespace
 
 namespace kernels {
@@ -732,7 +1146,7 @@ std::int64_t PadLow(std::int64_t input, std::int64_t output,
   return pad_total / 2;
 }
 
-// Register tile width for the cache-tiled MatMul/Conv2D inner loops: a
+// Register tile width for the cache-tiled MatMul inner loop: a
 // stack-resident accumulator block the compiler can keep in registers /
 // L1. Tiling only regroups WHICH output elements are in flight together —
 // each element's k-reduction still runs ascending on one thread with the
@@ -773,57 +1187,16 @@ void Conv2D(const float* input, const Shape& in_shape, const float* filter,
             const Shape& filter_shape, float* out, const Shape& out_shape,
             std::int64_t stride_h, std::int64_t stride_w, Padding padding,
             const std::vector<EpilogueOp>& epilogue) {
-  const std::int64_t batch = in_shape.dim(0), in_h = in_shape.dim(1),
-                     in_w = in_shape.dim(2), in_c = in_shape.dim(3);
-  const std::int64_t f_h = filter_shape.dim(0), f_w = filter_shape.dim(1),
-                     out_c = filter_shape.dim(3);
-  const std::int64_t out_h = out_shape.dim(1), out_w = out_shape.dim(2);
-  const std::int64_t pad_h = PadLow(in_h, out_h, f_h, stride_h, padding);
-  const std::int64_t pad_w = PadLow(in_w, out_w, f_w, stride_w, padding);
-
-  // Disjoint output rows: shard over (batch, out_h). Per pixel, an
-  // accumulator tile over a block of output channels completes its whole
-  // kh -> kw -> ic reduction in registers (per channel the accumulation
-  // order is the reference loop nest's), takes the epilogue, then spills.
-  const std::int64_t conv_row_cost = out_w * f_h * f_w * in_c * out_c * 2;
-  ParallelForRange(batch * out_h, GrainFor(conv_row_cost), [&](
-                       std::int64_t row_begin, std::int64_t row_end) {
-    float acc[kEpilogueTile];
-    for (std::int64_t row = row_begin; row < row_end; ++row) {
-      const std::int64_t b = row / out_h;
-      const std::int64_t oh = row % out_h;
-      for (std::int64_t ow = 0; ow < out_w; ++ow) {
-        const std::int64_t pixel = (b * out_h + oh) * out_w + ow;
-        float* out_px = out + pixel * out_c;
-        for (std::int64_t oc0 = 0; oc0 < out_c; oc0 += kEpilogueTile) {
-          const std::int64_t ocn = std::min(kEpilogueTile, out_c - oc0);
-          std::fill(acc, acc + ocn, 0.0f);
-          for (std::int64_t kh = 0; kh < f_h; ++kh) {
-            const std::int64_t ih = oh * stride_h + kh - pad_h;
-            if (ih < 0 || ih >= in_h) continue;
-            for (std::int64_t kw = 0; kw < f_w; ++kw) {
-              const std::int64_t iw = ow * stride_w + kw - pad_w;
-              if (iw < 0 || iw >= in_w) continue;
-              const float* in_px =
-                  input + ((b * in_h + ih) * in_w + iw) * in_c;
-              const float* f_px =
-                  filter + (kh * f_w + kw) * in_c * out_c + oc0;
-              for (std::int64_t ic = 0; ic < in_c; ++ic) {
-                const float iv = in_px[ic];
-                if (iv == 0.0f) continue;
-                const float* f_row = f_px + ic * out_c;
-                for (std::int64_t t = 0; t < ocn; ++t) {
-                  acc[t] += iv * f_row[t];
-                }
-              }
-            }
-          }
-          ApplyEpilogueTile(epilogue, acc, ocn, oc0, pixel * out_c + oc0);
-          std::copy(acc, acc + ocn, out_px + oc0);
-        }
-      }
-    }
-  });
+  // Disjoint output rows: shard over (batch, out_h). A block finishes its
+  // whole reduction in registers, takes the epilogue per pixel, then
+  // spills.
+  const ConvGeometry g = MakeConvGeometry(in_shape, filter_shape, out_shape,
+                                          stride_h, stride_w, padding);
+  if (Gathered(g.out_c)) {
+    ConvForwardGathered(g, input, filter, out, epilogue);
+  } else {
+    ConvForwardMasked(g, input, filter, out, epilogue);
+  }
 }
 
 void Conv2DBackpropInput(const float* grad_out, const Shape& grad_shape,
@@ -831,45 +1204,75 @@ void Conv2DBackpropInput(const float* grad_out, const Shape& grad_shape,
                          float* grad_in, const Shape& in_shape,
                          std::int64_t stride_h, std::int64_t stride_w,
                          Padding padding) {
-  const std::int64_t batch = in_shape.dim(0), in_h = in_shape.dim(1),
-                     in_w = in_shape.dim(2), in_c = in_shape.dim(3);
-  const std::int64_t f_h = filter_shape.dim(0), f_w = filter_shape.dim(1),
-                     out_c = filter_shape.dim(3);
-  const std::int64_t out_h = grad_shape.dim(1), out_w = grad_shape.dim(2);
-  const std::int64_t pad_h = PadLow(in_h, out_h, f_h, stride_h, padding);
-  const std::int64_t pad_w = PadLow(in_w, out_w, f_w, stride_w, padding);
-
-  std::fill(grad_in, grad_in + in_shape.NumElements(), 0.0f);
-  // Windows overlap across out_h, so per-image slices are the finest
-  // disjoint split of grad_in: shard over batch. Within an image the
-  // serial scatter order is preserved, keeping results bit-identical.
-  ParallelForRange(batch, 1, [&](std::int64_t b_begin, std::int64_t b_end) {
-  for (std::int64_t b = b_begin; b < b_end; ++b) {
-    for (std::int64_t oh = 0; oh < out_h; ++oh) {
-      for (std::int64_t ow = 0; ow < out_w; ++ow) {
-        const float* g_px = grad_out + ((b * out_h + oh) * out_w + ow) * out_c;
-        for (std::int64_t kh = 0; kh < f_h; ++kh) {
-          const std::int64_t ih = oh * stride_h + kh - pad_h;
-          if (ih < 0 || ih >= in_h) continue;
-          for (std::int64_t kw = 0; kw < f_w; ++kw) {
-            const std::int64_t iw = ow * stride_w + kw - pad_w;
-            if (iw < 0 || iw >= in_w) continue;
-            float* gi_px = grad_in + ((b * in_h + ih) * in_w + iw) * in_c;
-            const float* f_px = filter + (kh * f_w + kw) * in_c * out_c;
-            for (std::int64_t ic = 0; ic < in_c; ++ic) {
-              const float* f_row = f_px + ic * out_c;
-              float acc = 0.0f;
-              for (std::int64_t oc = 0; oc < out_c; ++oc) {
-                acc += g_px[oc] * f_row[oc];
-              }
-              gi_px[ic] += acc;
-            }
-          }
-        }
+  const ConvGeometry g = MakeConvGeometry(in_shape, filter_shape, grad_shape,
+                                          stride_h, stride_w, padding);
+  // Each input element is +0.0f plus one oc-ascending dot per output pixel
+  // whose window covers it, added in ascending (oh, ow) order: the order
+  // the scatter form adds them in. The gather computes the dots for 4 * V
+  // input channels at once against the filter transposed per tap to
+  // [tap][oc][ic], with ic padded to a whole number of groups.
+  const int v = g.in_c <= 4 ? 1 : g.in_c <= 8 ? 2 : 4;
+  const std::int64_t ic_padded = CeilDiv(g.in_c, 4 * v) * 4 * v;
+  const std::int64_t taps = g.f_h * g.f_w;
+  std::vector<float> transposed(
+      static_cast<std::size_t>(taps * g.out_c * ic_padded), 0.0f);
+  for (std::int64_t tap = 0; tap < taps; ++tap) {
+    for (std::int64_t ic = 0; ic < g.in_c; ++ic) {
+      for (std::int64_t oc = 0; oc < g.out_c; ++oc) {
+        transposed[static_cast<std::size_t>(
+            (tap * g.out_c + oc) * ic_padded + ic)] =
+            filter[(tap * g.in_c + ic) * g.out_c + oc];
       }
     }
   }
-  });
+
+  // Disjoint input rows: shard over (batch, in_h), with at least one row
+  // per image so that the call opens a region iff batch > 0.
+  const std::int64_t rows_per_image = std::max<std::int64_t>(g.in_h, 1);
+  const std::int64_t rows = g.batch * rows_per_image;
+  const std::int64_t row_cost = g.in_w * taps * g.in_c * g.out_c * 2 /
+                                (g.stride_h * g.stride_w);
+  const auto run = [&](auto group) {
+    constexpr int kV = decltype(group)::value;
+    ParallelForRange(rows, ConvGrain(rows, row_cost), [&](
+                         std::int64_t row_begin, std::int64_t row_end) {
+      std::vector<const float*> g_taps(static_cast<std::size_t>(taps));
+      std::vector<const float*> f_taps(g_taps.size());
+      for (std::int64_t row = row_begin; row < row_end; ++row) {
+        const std::int64_t b = row / rows_per_image;
+        const std::int64_t ih = row % rows_per_image;
+        if (ih >= g.in_h) continue;
+        const auto [oh_begin, oh_end] =
+            CoveringOutputs(ih + g.pad_h, g.f_h, g.stride_h, g.out_h);
+        for (std::int64_t iw = 0; iw < g.in_w; ++iw) {
+          const auto [ow_begin, ow_end] =
+              CoveringOutputs(iw + g.pad_w, g.f_w, g.stride_w, g.out_w);
+          std::size_t n = 0;
+          for (std::int64_t oh = oh_begin; oh < oh_end; ++oh) {
+            const std::int64_t kh = ih + g.pad_h - oh * g.stride_h;
+            for (std::int64_t ow = ow_begin; ow < ow_end; ++ow) {
+              const std::int64_t kw = iw + g.pad_w - ow * g.stride_w;
+              g_taps[n] =
+                  grad_out + ((b * g.out_h + oh) * g.out_w + ow) * g.out_c;
+              f_taps[n] =
+                  transposed.data() + (kh * g.f_w + kw) * g.out_c * ic_padded;
+              ++n;
+            }
+          }
+          GatherInputGrad<kV>(
+              g_taps.data(), f_taps.data(), n, g.out_c, ic_padded, g.in_c,
+              grad_in + ((b * g.in_h + ih) * g.in_w + iw) * g.in_c);
+        }
+      }
+    });
+  };
+  if (v == 1) {
+    run(std::integral_constant<int, 1>{});
+  } else if (v == 2) {
+    run(std::integral_constant<int, 2>{});
+  } else {
+    run(std::integral_constant<int, 4>{});
+  }
 }
 
 void Conv2DBackpropFilter(const float* input, const Shape& in_shape,
@@ -877,46 +1280,40 @@ void Conv2DBackpropFilter(const float* input, const Shape& in_shape,
                           float* grad_filter, const Shape& filter_shape,
                           std::int64_t stride_h, std::int64_t stride_w,
                           Padding padding) {
-  const std::int64_t batch = in_shape.dim(0), in_h = in_shape.dim(1),
-                     in_w = in_shape.dim(2), in_c = in_shape.dim(3);
-  const std::int64_t f_h = filter_shape.dim(0), f_w = filter_shape.dim(1),
-                     out_c = filter_shape.dim(3);
-  const std::int64_t out_h = grad_shape.dim(1), out_w = grad_shape.dim(2);
-  const std::int64_t pad_h = PadLow(in_h, out_h, f_h, stride_h, padding);
-  const std::int64_t pad_w = PadLow(in_w, out_w, f_w, stride_w, padding);
-
-  std::fill(grad_filter, grad_filter + filter_shape.NumElements(), 0.0f);
-  // Every (kh, kw) tap owns a disjoint in_c*out_c slice of grad_filter, so
-  // shard over taps. For a fixed tap the (b, oh, ow) accumulation below
-  // runs ascending — the same per-element order as the serial
-  // batch-major loop nest, so the sum is bit-identical.
-  ParallelForRange(f_h * f_w, 1, [&](std::int64_t tap_begin,
-                                     std::int64_t tap_end) {
-    for (std::int64_t tap = tap_begin; tap < tap_end; ++tap) {
-      const std::int64_t kh = tap / f_w;
-      const std::int64_t kw = tap % f_w;
-      float* gf_px = grad_filter + tap * in_c * out_c;
-      for (std::int64_t b = 0; b < batch; ++b) {
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          const std::int64_t ih = oh * stride_h + kh - pad_h;
-          if (ih < 0 || ih >= in_h) continue;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            const std::int64_t iw = ow * stride_w + kw - pad_w;
-            if (iw < 0 || iw >= in_w) continue;
-            const float* g_px =
-                grad_out + ((b * out_h + oh) * out_w + ow) * out_c;
-            const float* in_px = input + ((b * in_h + ih) * in_w + iw) * in_c;
-            for (std::int64_t ic = 0; ic < in_c; ++ic) {
-              const float iv = in_px[ic];
-              if (iv == 0.0f) continue;
-              float* gf_row = gf_px + ic * out_c;
-              for (std::int64_t oc = 0; oc < out_c; ++oc) {
-                gf_row[oc] += iv * g_px[oc];
-              }
-            }
-          }
-        }
+  const ConvGeometry g = MakeConvGeometry(in_shape, filter_shape, grad_shape,
+                                          stride_h, stride_w, padding);
+  // Units own disjoint grad_filter blocks and keep them in registers while
+  // they walk (b, oh, ow) ascending, so each element is written once. A
+  // gathered unit is one filter row (kh, k); a masked unit is (kh, 4
+  // consecutive k, up to 8 channels). The call opens a region iff
+  // f_h * f_w > 0, even when in_c or out_c is 0: the region counter is
+  // exact-gated in the artifacts.
+  const bool gathered = Gathered(g.out_c);
+  const std::int64_t k_blocks = CeilDiv(g.k_len, kConvLanes);
+  const std::int64_t c_blocks = CeilDiv(g.out_c, kMaskedChannels);
+  const std::int64_t units =
+      gathered ? g.f_h * g.k_len : g.f_h * k_blocks * c_blocks;
+  const std::int64_t pixels = g.batch * g.out_h * g.out_w;
+  const std::int64_t unit_cost =
+      pixels * 2 * (gathered ? g.out_c : kConvLanes * kMaskedChannels);
+  const std::int64_t regions = g.f_h * g.f_w > 0 ? 1 : 0;
+  ParallelForRange(std::max(units, regions), ConvGrain(units, unit_cost), [&](
+                       std::int64_t unit_begin, std::int64_t unit_end) {
+    if (units == 0) return;
+    std::vector<Term> terms(static_cast<std::size_t>(gathered ? pixels : 0));
+    for (std::int64_t unit = unit_begin; unit < unit_end; ++unit) {
+      if (gathered) {
+        FilterGradGatheredUnit(g, input, grad_out, grad_filter,
+                               unit / g.k_len, unit % g.k_len, terms.data());
+        continue;
       }
+      const std::int64_t c0 = unit % c_blocks * kMaskedChannels;
+      const std::int64_t k0 = unit / c_blocks % k_blocks * kConvLanes;
+      const std::int64_t kh = unit / (c_blocks * k_blocks);
+      WithBlockWidth(g.out_c - c0, [&](auto channels) {
+        FilterGradMaskedUnit<decltype(channels)::value>(
+            g, input, grad_out, grad_filter, kh, k0, c0);
+      });
     }
   });
 }

@@ -23,6 +23,16 @@
 // in tests/tensor/strided_kernels_test.cpp). The pooling kernels go
 // through one window walk.
 //
+// The three conv kernels are register-blocked microkernels on 4-wide
+// generic vectors. Each keeps every output element's accumulation order
+// of the plain loop nest, including its skip of zero inputs: narrow
+// channel counts add masked products in blocks of 4 pixels (forward) or 4
+// filter taps (filter gradient) x 8 channels; wide ones add only the
+// gathered nonzero terms, 32 channels at a time; the input gradient is a
+// gather over the output pixels that cover each input pixel. They are
+// compared bit for bit with the loop nests in
+// tests/tensor/conv_kernels_test.cpp (DESIGN.md decision 6).
+//
 // Hot kernels shard across the process-wide intra-op thread pool
 // (support/threadpool.h). Parallelism is only ever over disjoint output
 // slices — never over reduction axes — so every kernel's non-NaN results

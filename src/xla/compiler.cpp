@@ -130,10 +130,18 @@ HloModule RebuildModule(const HloModule& module, const std::vector<bool>& keep,
 }  // namespace
 
 int RunHloCse(HloModule& module) {
-  // Key: kind + attrs-hash + operands (post-replacement) + param index.
-  // Constants are deduplicated only when they share the same literal
-  // object shape AND data fingerprint.
-  std::map<std::uint64_t, HloId> seen;
+  return internal::RunHloCseKeyed(module,
+                                  [](std::uint64_t hash) { return hash; });
+}
+
+namespace internal {
+
+int RunHloCseKeyed(HloModule& module, std::uint64_t (*key)(std::uint64_t)) {
+  // The hash covers kind, attrs, param index, the operands after
+  // replacement, and a constant's bytes. It only selects candidates: every
+  // kept instruction stays listed under its key, and an instruction merges
+  // into the first candidate that is identical to it, operands resolved.
+  std::map<std::uint64_t, std::vector<HloId>> seen;
   std::vector<HloId> replacement(module.instructions().size());
   std::iota(replacement.begin(), replacement.end(), 0);
   std::vector<bool> keep(module.instructions().size(), true);
@@ -144,6 +152,16 @@ int RunHloCse(HloModule& module) {
       id = replacement[static_cast<std::size_t>(id)];
     }
     return id;
+  };
+  auto identical = [&](const HloInstruction& a, const HloInstruction& b) {
+    if (a.operands.size() != b.operands.size() ||
+        !SameInstructionIgnoringOperands(a, b)) {
+      return false;
+    }
+    for (std::size_t i = 0; i < a.operands.size(); ++i) {
+      if (resolve(a.operands[i]) != resolve(b.operands[i])) return false;
+    }
+    return true;
   };
 
   for (const HloInstruction& inst : module.instructions()) {
@@ -159,16 +177,24 @@ int RunHloCse(HloModule& module) {
                         sizeof(float),
                     h);
     }
-    auto [it, inserted] = seen.emplace(h, inst.id);
-    if (!inserted) {
-      replacement[static_cast<std::size_t>(inst.id)] = it->second;
-      keep[static_cast<std::size_t>(inst.id)] = false;
-      ++eliminated;
+    std::vector<HloId>& candidates = seen[key(h)];
+    const auto match =
+        std::find_if(candidates.begin(), candidates.end(), [&](HloId c) {
+          return identical(inst, module.instruction(c));
+        });
+    if (match == candidates.end()) {
+      candidates.push_back(inst.id);
+      continue;
     }
+    replacement[static_cast<std::size_t>(inst.id)] = *match;
+    keep[static_cast<std::size_t>(inst.id)] = false;
+    ++eliminated;
   }
   if (eliminated > 0) module = RebuildModule(module, keep, replacement);
   return eliminated;
 }
+
+}  // namespace internal
 
 int RunHloDce(HloModule& module) {
   std::vector<bool> live(module.instructions().size(), false);

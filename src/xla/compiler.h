@@ -50,6 +50,16 @@ struct CompileOptions {
 int RunHloCse(HloModule& module);
 int RunHloDce(HloModule& module);
 
+namespace internal {
+
+// RunHloCse with each instruction's 64-bit hash passed through `key`
+// before the candidate lookup. A hash only selects candidates; a merge
+// still needs the instructions to be identical. A test seam: a constant
+// `key` makes every instruction collide with every other.
+int RunHloCseKeyed(HloModule& module, std::uint64_t (*key)(std::uint64_t));
+
+}  // namespace internal
+
 // Algebraic simplification: removes provable no-ops —
 //   x * 1, x + 0, x ^ 1 (scalar-attr forms), neg(neg(x)),
 //   reshape/broadcast to the operand's own shape,

@@ -97,6 +97,15 @@ bool SameLiteral(const Literal& a, const Literal& b) {
 
 }  // namespace
 
+bool SameInstructionIgnoringOperands(const HloInstruction& a,
+                                     const HloInstruction& b) {
+  if (a.kind != b.kind || !SameAttrs(a.attrs, b.attrs) ||
+      a.shape != b.shape || a.parameter_index != b.parameter_index) {
+    return false;
+  }
+  return a.kind != OpKind::kConstant || SameLiteral(a.literal, b.literal);
+}
+
 bool HloModule::SameProgramAs(const HloModule& other) const {
   if (instructions_.size() != other.instructions_.size() ||
       roots_ != other.roots_ || num_parameters_ != other.num_parameters_) {
@@ -105,12 +114,7 @@ bool HloModule::SameProgramAs(const HloModule& other) const {
   for (std::size_t i = 0; i < instructions_.size(); ++i) {
     const HloInstruction& a = instructions_[i];
     const HloInstruction& b = other.instructions_[i];
-    if (a.kind != b.kind || !SameAttrs(a.attrs, b.attrs) ||
-        a.shape != b.shape || a.operands != b.operands ||
-        a.parameter_index != b.parameter_index) {
-      return false;
-    }
-    if (a.kind == OpKind::kConstant && !SameLiteral(a.literal, b.literal)) {
+    if (a.operands != b.operands || !SameInstructionIgnoringOperands(a, b)) {
       return false;
     }
   }

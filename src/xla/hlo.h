@@ -36,6 +36,13 @@ struct HloInstruction {
   int parameter_index = -1;
 };
 
+// True when a and b are the same instruction apart from id and operands:
+// kind, attributes (the scalar compared by its bits), shape, parameter
+// index, and for constants the payload's shape and bytes. The compare
+// behind HloModule::SameProgramAs and CSE's merge decision.
+bool SameInstructionIgnoringOperands(const HloInstruction& a,
+                                     const HloInstruction& b);
+
 class HloModule {
  public:
   explicit HloModule(std::string name = "hlo_module")

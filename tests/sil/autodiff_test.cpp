@@ -194,6 +194,11 @@ struct SilGradCase {
   int arity;
 };
 
+// gtest prints the parameter into the test's ctest name; without this it
+// dumps the struct's bytes (the fn pointer and padding), which change on
+// every relink.
+void PrintTo(const SilGradCase& c, std::ostream* os) { *os << c.fn; }
+
 class SilGradSweepTest : public ::testing::TestWithParam<SilGradCase> {};
 
 TEST_P(SilGradSweepTest, MatchesFiniteDifferences) {

@@ -1,7 +1,9 @@
 #include "xla/compiler.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 #include <gtest/gtest.h>
 
 namespace s4tf::xla {
@@ -36,6 +38,59 @@ TEST(HloCseTest, DeduplicatesIdenticalSubexpressions) {
   // Semantics preserved: exp(x^2)*2.
   const auto out = Compile(m).executable->Run({Literal::Full(Shape({8}), 2.f)});
   EXPECT_NEAR(out[0].data[0], 2 * std::exp(4.0f), 1e-2);
+}
+
+// Every instruction gets the same key, so every pair collides and only the
+// identity compare stands between CSE and a wrong merge.
+std::uint64_t CollideAll(std::uint64_t) { return 0; }
+
+TEST(HloCseTest, CollidingHashesMergeOnlyIdenticalInstructions) {
+  HloModule m;
+  const HloId p = m.AddParameter(Shape({8}), 0);
+  const HloId q = m.AddParameter(Shape({8}), 1);
+  // Each instruction after the first of a group differs from it in one
+  // field, except the two marked identical.
+  const std::vector<HloId> roots = {
+      m.AddInstruction(OpKind::kExp, {p}),
+      m.AddInstruction(OpKind::kExp, {p}),  // identical: merges
+      m.AddInstruction(OpKind::kTanh, {p}),
+      m.AddInstruction(OpKind::kExp, {q}),
+      m.AddInstruction(OpKind::kMulScalar, {p}, OpAttrs{.scalar = 0.0f}),
+      m.AddInstruction(OpKind::kMulScalar, {p}, OpAttrs{.scalar = -0.0f}),
+      m.AddInstruction(OpKind::kMulScalar, {p}, OpAttrs{.scalar = 2.0f}),
+      m.AddInstruction(OpKind::kReshape, {p}, OpAttrs{.shape = {2, 4}}),
+      m.AddInstruction(OpKind::kReshape, {p}, OpAttrs{.shape = {4, 2}}),
+      m.AddConstant(Literal::Full(Shape({8}), 1.0f)),
+      m.AddConstant(Literal::Full(Shape({8}), 2.0f)),
+      m.AddConstant(Literal::Full(Shape({2, 4}), 1.0f)),
+      m.AddConstant(Literal::Full(Shape({8}), 1.0f)),  // identical: merges
+  };
+  for (HloId r : roots) m.AddRoot(r);
+  HloModule colliding = m;
+  EXPECT_EQ(internal::RunHloCseKeyed(colliding, CollideAll), 2);
+  EXPECT_EQ(colliding.instruction_count(), m.instruction_count() - 2);
+  HloModule hashed = m;
+  EXPECT_EQ(RunHloCse(hashed), 2);
+  EXPECT_TRUE(colliding.SameProgramAs(hashed));
+
+  // The merged module computes what the original does, bit for bit.
+  CompileOptions no_cse;
+  no_cse.enable_cse = false;
+  const std::vector<Literal> params = {
+      Literal::FromVector(Shape({8}), {-2, -1, -0.0f, 0, 0.5f, 1, 2, 3}),
+      Literal::FromVector(Shape({8}), {3, 2, 1, 0, -0.0f, -1, -2, -3})};
+  const auto want = Compile(m, no_cse).executable->Run(params);
+  const auto got = Compile(colliding, no_cse).executable->Run(params);
+  ASSERT_EQ(want.size(), roots.size());
+  ASSERT_EQ(got.size(), roots.size());
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_EQ(got[i].shape, want[i].shape) << "root " << i;
+    const std::vector<float> a = want[i].data.ToVector();
+    const std::vector<float> b = got[i].data.ToVector();
+    ASSERT_EQ(a.size(), b.size()) << "root " << i;
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
+        << "root " << i;
+  }
 }
 
 TEST(HloDceTest, DropsUnreachableInstructions) {
