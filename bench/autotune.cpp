@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "dist/communicator.h"
+#include "frameworks/staged.h"
 #include "lazy/lazy_tensor.h"
 #include "nn/datasets.h"
 #include "nn/models/lenet.h"
@@ -51,15 +52,15 @@ std::int64_t TuneBucketBytes(BenchReport& report, const StepProgram& program) {
   const double backward_seconds = device.elapsed_seconds() * (2.0 / 3.0);
 
   std::printf("-- bucket_bytes (gradient %lld bytes, 16 replicas) --\n",
-              static_cast<long long>(program.parameter_bytes));
+              static_cast<long long>(program.parameter_bytes()));
   std::int64_t best = 0;
   double best_seconds = 0.0;
   for (std::int64_t bucket = 1 << 12; bucket <= 1 << 22; bucket <<= 1) {
     const double exposed = OverlappedExposedAllReduceSeconds(
-        spec, program.parameter_bytes, bucket, /*replicas=*/16,
+        spec, program.parameter_bytes(), bucket, /*replicas=*/16,
         backward_seconds);
     const std::int64_t buckets = dist::NumAllReduceBuckets(
-        program.parameter_bytes / 4, bucket);
+        program.parameter_bytes() / 4, bucket);
     std::printf("   bucket_bytes %8lld: %3lld buckets, exposed %9.3f us\n",
                 static_cast<long long>(bucket),
                 static_cast<long long>(buckets), exposed * 1e6);
@@ -182,27 +183,9 @@ std::int64_t TuneAutoFlush(BenchReport& report) {
 std::string TunePasses(BenchReport& report) {
   Rng rng(kSeed);
   const nn::LeNet model(rng);
-  LazyBackend backend;
-  const Device lazy = backend.device();
-  nn::LeNet staged = model;
-  nn::MoveModelTo(staged, lazy);
-  const Tensor images = Tensor::Zeros(Shape({32, 28, 28, 1}), lazy);
-  const Tensor one_hot = Tensor::Zeros(Shape({32, 10}), lazy);
-  auto [loss, grads] =
-      ad::ValueWithGradient(staged, [&](const nn::LeNet& m) {
-        return nn::SoftmaxCrossEntropy(m(images), one_hot);
-      });
-  std::vector<std::shared_ptr<LazyNode>> roots;
-  auto node_of = [](const Tensor& t) {
-    auto* impl = dynamic_cast<LazyImpl*>(t.impl().get());
-    S4TF_CHECK(impl != nullptr);
-    return impl->node();
-  };
-  roots.push_back(node_of(loss));
-  staged.VisitWithTangent(grads, [&](Tensor& p, Tensor& g) {
-    if (g.shape() == p.shape()) roots.push_back(node_of(p - g * 0.1f));
-  });
-  const xla::HloModule module = LowerTrace(roots, nullptr);
+  const xla::HloModule module =
+      frameworks::StageTrainStep(model, Shape({32, 28, 28, 1}), 10, 0.1f)
+          .module;
 
   struct Combo {
     const char* label;

@@ -111,7 +111,7 @@ void ReportModel(const char* name, const StepProgram& program,
   row.SetCounter("arena_peak_bytes", all->arena_peak_bytes());
   row.SetCounter("arena_unreused_bytes", all->arena_unreused_bytes());
   row.SetCounter("step.trace_ops", program.trace_ops);
-  row.SetCounter("step.hlo_instructions", program.program_instructions);
+  row.SetCounter("step.hlo_instructions", program.module.instruction_count());
   row.SetValue("cost.device_ms_unfused", unfused_ms);
   row.SetValue("cost.device_ms_elementwise", elementwise_ms);
   row.SetValue("cost.device_ms_epilogue", epilogue_ms);

@@ -3,47 +3,27 @@
 //
 // The paper (§2.2): "the code generated by the AD system is fully amenable
 // to the same set of compile-time optimizations as regular Swift code."
-// This bench lowers full training-step traces (forward + backward + SGD
+// This bench runs the passes over full training-step programs as
+// frameworks::StageTrainStep lowers them (forward + backward + SGD
 // update, straight from the gradient tape) and reports how much each pass
 // removes: AD output really is full of x*1 seeds, duplicate
 // subexpressions, and dead values.
 #include <cstdio>
 
-#include "ad/operators.h"
-#include "lazy/lazy_tensor.h"
-#include "report.h"
+#include "frameworks/staged.h"
 #include "nn/models/lenet.h"
 #include "nn/models/resnet.h"
-#include "nn/training.h"
+#include "report.h"
+#include "xla/compiler.h"
 
 namespace s4tf::bench {
 namespace {
 
-template <typename ModelFactory>
-void Report(const char* name, ModelFactory&& factory,
-            const Shape& batch_shape, int classes, BenchReport& report) {
-  LazyBackend backend;
-  const Device lazy = backend.device();
-  auto model = factory();
-  nn::MoveModelTo(model, lazy);
-  const Tensor images = Tensor::Zeros(batch_shape, lazy);
-  const Tensor one_hot =
-      Tensor::Zeros(Shape({batch_shape.dim(0), classes}), lazy);
-
-  using M = decltype(model);
-  auto [loss, grads] = ad::ValueWithGradient(model, [&](const M& m) {
-    return nn::SoftmaxCrossEntropy(m(images), one_hot);
-  });
-  std::vector<std::shared_ptr<LazyNode>> roots;
-  auto node_of = [](const Tensor& t) {
-    return dynamic_cast<LazyImpl*>(t.impl().get())->node();
-  };
-  roots.push_back(node_of(loss));
-  model.VisitWithTangent(grads, [&](Tensor& p, Tensor& g) {
-    if (g.shape() == p.shape()) roots.push_back(node_of(p - g * 0.1f));
-  });
-
-  xla::HloModule module = LowerTrace(roots, nullptr);
+template <ad::DifferentiableStruct M>
+void Report(const char* name, const M& model, const Shape& batch_shape,
+            BenchReport& report) {
+  xla::HloModule module =
+      frameworks::StageTrainStep(model, batch_shape, 10, 0.1f).module;
   const std::int64_t raw = module.instruction_count();
   const int simplified = xla::RunHloAlgebraicSimplify(module);
   int cse = 0;
@@ -103,18 +83,13 @@ int main() {
   BenchReport report("ablation_passes");
   report.SetConfig("passes", std::string("simplify,cse,dce,epilogue,arena"));
 
-  Report(
-      "LeNet-5 step (batch 16)", [] {
-        Rng rng(1);
-        return nn::LeNet(rng);
-      },
-      Shape({16, 28, 28, 1}), 10, report);
-  Report(
-      "ResNet-20 step (batch 16)", [] {
-        Rng rng(2);
-        return nn::ResNet(nn::ResNetConfig::Cifar(20), rng);
-      },
-      Shape({16, 32, 32, 3}), 10, report);
+  Rng lenet_rng(1);
+  Report("LeNet-5 step (batch 16)", nn::LeNet(lenet_rng),
+         Shape({16, 28, 28, 1}), report);
+  Rng resnet_rng(2);
+  Report("ResNet-20 step (batch 16)",
+         nn::ResNet(nn::ResNetConfig::Cifar(20), resnet_rng),
+         Shape({16, 32, 32, 3}), report);
 
   std::printf(
       "\nThe removed instructions are AD artifacts: ones-seeds multiplied "

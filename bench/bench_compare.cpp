@@ -7,7 +7,8 @@
 // just-measured run), and:
 //   * FAILS (exit 1) on any exact diff in the deterministic sections —
 //     config axes, counter deltas, cost-model seconds, text verdicts —
-//     or on a missing/unparseable fresh artifact;
+//     on a missing/unparseable fresh artifact, or on a field of the wrong
+//     JSON type (named by its path, never a crash);
 //   * WARNS on wall-clock means (and "noisy" scalars) drifting beyond the
 //     noise bound (exit 0 unless --strict-wall).
 // Fresh artifacts with no committed baseline are listed as NEW (exit 0):

@@ -95,7 +95,7 @@ int main() {
     row.SetValue("step_program.trace_ops",
                  static_cast<double>(program.trace_ops));
     row.SetValue("step_program.parameter_bytes",
-                 static_cast<double>(program.parameter_bytes));
+                 static_cast<double>(program.parameter_bytes()));
     row.SetValue("cost.device_step_seconds", device_seconds);
     row.SetValue("cost.host_trace_seconds", host_seconds);
   }
@@ -108,7 +108,7 @@ int main() {
   double per_core_16 = 0.0, per_core_128 = 0.0;
   for (int cores : {16, 32, 128}) {
     const double allreduce =
-        AllReduceSeconds(spec, program.parameter_bytes, cores);
+        AllReduceSeconds(spec, program.parameter_bytes(), cores);
     // Tracing of the next step overlaps device execution (see Table 2
     // harness); the synchronous all-reduce does not overlap.
     const double step_seconds =
@@ -163,15 +163,15 @@ int main() {
   bool overlap_wins = true;
   for (int cores : {2, 16, 32, 128}) {
     double sync_comm = 0.0;
-    for (std::int64_t off = 0; off < program.parameter_bytes;
+    for (std::int64_t off = 0; off < program.parameter_bytes();
          off += bucket_bytes) {
       sync_comm += AllReduceSeconds(
           spec, std::min<std::int64_t>(bucket_bytes,
-                                       program.parameter_bytes - off),
+                                       program.parameter_bytes() - off),
           cores);
     }
     const double exposed = OverlappedExposedAllReduceSeconds(
-        spec, program.parameter_bytes, bucket_bytes, cores,
+        spec, program.parameter_bytes(), bucket_bytes, cores,
         backward_seconds);
     const bool lower = exposed < sync_comm;
     overlap_wins = overlap_wins && lower;
@@ -303,9 +303,9 @@ int main() {
   bool hierarchy_wins = true;
   for (int cores : {16, 64, 128, 256}) {
     const double flat =
-        AllReduceSeconds(spec, program.parameter_bytes, cores);
+        AllReduceSeconds(spec, program.parameter_bytes(), cores);
     const double hier = HierarchicalAllReduceSeconds(
-        spec, program.parameter_bytes, cores, hier_topology);
+        spec, program.parameter_bytes(), cores, hier_topology);
     const bool wins = hier < flat;
     if (cores >= 64) hierarchy_wins = hierarchy_wins && wins;
     hier_table.PrintRow({FormatInt(cores), FormatF(flat * 1e3, 3),
@@ -317,9 +317,9 @@ int main() {
     row.SetValue("cost.flat_allreduce_seconds", flat);
     row.SetValue("cost.hierarchical_allreduce_seconds", hier);
     row.SetValue("cost.reduce_scatter_seconds",
-                 ReduceScatterSeconds(spec, program.parameter_bytes, cores));
+                 ReduceScatterSeconds(spec, program.parameter_bytes(), cores));
     row.SetValue("cost.all_gather_seconds",
-                 AllGatherSeconds(spec, program.parameter_bytes, cores));
+                 AllGatherSeconds(spec, program.parameter_bytes(), cores));
     row.SetText("hierarchical_faster", wins ? "YES" : "NO");
   }
   hier_table.PrintRule();

@@ -58,7 +58,7 @@ Row PriceStrategy(const frameworks::FrameworkProfile& profile,
     step_seconds = host_seconds + device_seconds;
   }
   // Synchronous all-reduce of the gradients across the pod.
-  step_seconds += AllReduceSeconds(spec, program.parameter_bytes, kCores);
+  step_seconds += AllReduceSeconds(spec, program.parameter_bytes(), kCores);
 
   Row row;
   row.framework = profile.name;
@@ -94,7 +94,7 @@ int main() {
       "per-core step: %lld traced ops, %lld HLO instructions, %lld fused "
       "kernels, %lld parameters\n%s\n\n",
       static_cast<long long>(program.trace_ops),
-      static_cast<long long>(program.program_instructions),
+      static_cast<long long>(program.module.instruction_count()),
       static_cast<long long>(program.fused->kernel_count()),
       static_cast<long long>(program.parameter_count),
       counters.Summary().c_str());
@@ -102,7 +102,7 @@ int main() {
     BenchRow& row = report.AddRow("step_program");
     row.SetCounters(counters);
     row.SetCounter("step.trace_ops", program.trace_ops);
-    row.SetCounter("step.hlo_instructions", program.program_instructions);
+    row.SetCounter("step.hlo_instructions", program.module.instruction_count());
     row.SetCounter("step.fused_kernels", program.fused->kernel_count());
     row.SetCounter("step.parameters", program.parameter_count);
     row.SetValue("cost.compile_seconds", program.compile_seconds);

@@ -109,14 +109,14 @@ int main() {
       "-> %lld fused kernels (built in %.1f ms)\n%s\n\n",
       static_cast<long long>(batch),
       static_cast<long long>(program.trace_ops),
-      static_cast<long long>(program.program_instructions),
+      static_cast<long long>(program.module.instruction_count()),
       static_cast<long long>(program.fused->kernel_count()),
       build_timer.Milliseconds(), counters.Summary().c_str());
   {
     BenchRow& row = report.AddRow("step_program");
     row.SetCounters(counters);
     row.SetCounter("step.trace_ops", program.trace_ops);
-    row.SetCounter("step.hlo_instructions", program.program_instructions);
+    row.SetCounter("step.hlo_instructions", program.module.instruction_count());
     row.SetCounter("step.fused_kernels", program.fused->kernel_count());
     row.SetCounter("step.parameters", program.parameter_count);
     row.SetValue("cost.compile_seconds", program.compile_seconds);

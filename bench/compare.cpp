@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 namespace s4tf::bench {
 
@@ -12,6 +13,72 @@ namespace {
 
 using json::JsonObject;
 using json::JsonValue;
+
+const char* TypeName(const JsonValue& v) {
+  static constexpr const char* kNames[] = {"null",   "bool",  "number",
+                                           "string", "array", "object"};
+  return kNames[v.value.index()];
+}
+
+// Finds every field CompareReports reads whose JSON type is not the one
+// the artifact schema gives it, and reports each as one regression naming
+// the artifact and the field's path.
+class TypeChecker {
+ public:
+  TypeChecker(const char* side, std::vector<std::string>* regressions)
+      : side_(side), regressions_(regressions) {}
+
+  void Check(const JsonValue& doc, const std::string& name) {
+    if (!Is(doc, "object", name)) return;
+    Member(doc, name, "bench", "string");
+    Member(doc, name, "schema_version", "number");
+    Member(doc, name, "config", "object");
+    const JsonValue* rows = Member(doc, name, "rows", "array");
+    if (rows == nullptr) return;
+    for (std::size_t i = 0; i < rows->array().size(); ++i) {
+      const JsonValue& row = rows->array()[i];
+      const std::string path = name + ".rows[" + std::to_string(i) + "]";
+      if (!Is(row, "object", path)) continue;
+      Member(row, path, "label", "string");
+      for (const char* section : {"counters", "values", "text"}) {
+        Member(row, path, section, "object");
+      }
+      if (const JsonValue* wall = Member(row, path, "wall_ms", "object")) {
+        for (const auto& [metric, stats] : wall->object()) {
+          const std::string stats_path = path + ".wall_ms." + metric;
+          if (Is(stats, "object", stats_path)) {
+            Member(stats, stats_path, "mean", "number");
+          }
+        }
+      }
+      if (const JsonValue* noisy = Member(row, path, "noisy", "object")) {
+        for (const auto& [metric, value] : noisy->object()) {
+          Is(value, "number", path + ".noisy." + metric);
+        }
+      }
+    }
+  }
+
+ private:
+  bool Is(const JsonValue& value, const char* type, const std::string& path) {
+    if (std::string_view(TypeName(value)) == type) return true;
+    regressions_->push_back(path + ": expected " + type + ", found " +
+                            TypeName(value) + " in the " + side_ +
+                            " artifact");
+    return false;
+  }
+
+  // The member `key` of `parent` if present with the right type.
+  const JsonValue* Member(const JsonValue& parent, const std::string& path,
+                          const char* key, const char* type) {
+    if (!parent.has(key)) return nullptr;
+    const JsonValue& value = parent.at(key);
+    return Is(value, type, path + "." + key) ? &value : nullptr;
+  }
+
+  const char* side_;
+  std::vector<std::string>* regressions_;
+};
 
 std::string RowLabel(const JsonValue& row) {
   return row.has("label") ? row.at("label").str() : "";
@@ -149,6 +216,11 @@ CompareResult CompareReports(const JsonValue& baseline,
                              const CompareOptions& options) {
   CompareResult result;
   const std::string name = BenchName(baseline);
+  // The diff below reads fields as the schema types them, so it runs only
+  // when both artifacts type-check.
+  TypeChecker("baseline", &result.regressions).Check(baseline, name);
+  TypeChecker("fresh", &result.regressions).Check(fresh, BenchName(fresh));
+  if (!result.regressions.empty()) return result;
 
   if (BenchName(fresh) != name) {
     result.regressions.push_back(name + ": fresh artifact is for bench \"" +

@@ -42,6 +42,8 @@ struct CompareResult {
 // matched by label: a label on one side only is one regression, rows on
 // both sides are diffed section by section, a changed order of those rows
 // is one regression, and so is a label that repeats within an artifact.
+// A field of the wrong JSON type (say a numeric "label") is one regression
+// naming the artifact and the field's path, and stops the diff.
 CompareResult CompareReports(const json::JsonValue& baseline,
                              const json::JsonValue& fresh,
                              const CompareOptions& options = {});

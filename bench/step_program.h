@@ -1,89 +1,41 @@
-// Builds the complete SGD training-step program for a model at a given
-// batch shape, without executing any numerics.
-//
-// This is how the table harnesses simulate paper-scale workloads: the
-// gradient tape runs over *lazy* tensors, so the full forward + backward +
-// update computation is recorded as a trace, lowered to the HLO-like IR,
-// and compiled — all shape-driven, no floating-point work. The resulting
+// The training step frameworks::StageTrainStep stages, compiled the two
+// ways the table harnesses price it. Compiling is shape-driven, so the
 // executables carry the exact per-kernel flop/byte costs of the real
-// program at the real batch size, which the simulated accelerator then
-// prices. Numeric correctness of the very same pipeline is covered by the
-// test suite at small shapes (tests/frameworks, tests/lazy, tests/nn).
+// program at paper-scale batch sizes without executing any numerics.
+// frameworks::StagedTrainStep runs the same module, and tests/frameworks
+// checks it bit for bit against direct training at small shapes.
 #pragma once
 
 #include <memory>
 
-#include "ad/operators.h"
-#include "lazy/lazy_tensor.h"
-#include "nn/losses.h"
-#include "nn/training.h"
+#include "frameworks/staged.h"
 #include "xla/compiler.h"
 
 namespace s4tf::bench {
 
-struct StepProgram {
+// `module` is the optimizer input, kept so ablations can recompile the
+// same program under other pass combinations (epilogue off, reuse off...).
+struct StepProgram : frameworks::StagedStep {
   std::shared_ptr<xla::Executable> fused;    // XLA-style compilation
   std::shared_ptr<xla::Executable> unfused;  // eager op-by-op cost shape
-  // The optimizer-input module, kept so ablations can recompile the same
-  // program under other pass combinations (epilogue off, reuse off, ...).
-  xla::HloModule module;
-  std::int64_t trace_ops = 0;        // host ops recorded per retrace
-  double compile_seconds = 0.0;      // modeled JIT cost (fused program)
-  std::int64_t parameter_count = 0;  // model parameters (elements)
-  std::int64_t parameter_bytes = 0;  // gradient bytes per all-reduce
-  std::int64_t program_instructions = 0;
+  double compile_seconds = 0.0;              // modeled JIT cost (fused)
+
+  std::int64_t parameter_bytes() const {  // gradient bytes per all-reduce
+    return parameter_count * 4;
+  }
 };
 
 template <ad::DifferentiableStruct M>
 StepProgram BuildStepProgram(const M& model, const Shape& image_batch_shape,
                              int num_classes, float learning_rate) {
-  LazyBackend backend;
-  const Device lazy = backend.device();
-
-  M staged = model;
-  nn::MoveModelTo(staged, lazy);
-  const Tensor images = Tensor::Zeros(image_batch_shape, lazy);
-  const Tensor one_hot =
-      Tensor::Zeros(Shape({image_batch_shape.dim(0), num_classes}), lazy);
-
-  auto [loss, grads] = ad::ValueWithGradient(staged, [&](const M& m) {
-    return nn::SoftmaxCrossEntropy(m(images), one_hot);
-  });
-
-  StepProgram program;
-  std::vector<Tensor> new_weights;
-  staged.VisitWithTangent(grads, [&](Tensor& p, Tensor& g) {
-    program.parameter_count += p.NumElements();
-    if (g.shape() == p.shape()) {
-      new_weights.push_back(p - g * learning_rate);
-    } else {
-      new_weights.push_back(p);
-    }
-  });
-  program.parameter_bytes = program.parameter_count * 4;
-
-  std::vector<std::shared_ptr<LazyNode>> roots;
-  auto node_of = [](const Tensor& t) {
-    auto* impl = dynamic_cast<LazyImpl*>(t.impl().get());
-    S4TF_CHECK(impl != nullptr);
-    return impl->node();
-  };
-  roots.push_back(node_of(loss));
-  for (const Tensor& w : new_weights) roots.push_back(node_of(w));
-
-  const xla::HloModule module = LowerTrace(roots, nullptr);
-  program.module = module;
-  program.trace_ops = backend.ops_traced();
-  program.program_instructions = module.instruction_count();
-
-  xla::CompileOptions fused_options;
-  const xla::CompileResult fused = xla::Compile(module, fused_options);
+  StepProgram program{frameworks::StageTrainStep(model, image_batch_shape,
+                                                 num_classes, learning_rate)};
+  const xla::CompileResult fused = xla::Compile(program.module, {});
   program.fused = fused.executable;
   program.compile_seconds = fused.compile_seconds;
-
   xla::CompileOptions unfused_options;
   unfused_options.enable_fusion = false;
-  program.unfused = xla::Compile(module, unfused_options).executable;
+  program.unfused = xla::Compile(program.module, unfused_options).executable;
   return program;
 }
 

@@ -14,6 +14,11 @@
 
 namespace s4tf::json {
 
+// Deepest array/object nesting ParseJson accepts. The parser recurses once
+// per level, so the cap bounds its stack; the emitters here write at most
+// five levels.
+inline constexpr int kMaxJsonDepth = 256;
+
 struct JsonValue;
 using JsonArray = std::vector<JsonValue>;
 using JsonObject = std::map<std::string, JsonValue>;
@@ -85,9 +90,17 @@ class Parser {
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                      " levels");
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!ParseString(&s)) return false;
@@ -219,11 +232,13 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace json_detail
 
-// Parses `text` into `out`. On failure returns false and fills `error`.
+// Parses `text` into `out`. On failure, including nesting deeper than
+// kMaxJsonDepth, returns false and fills `error` with the byte offset.
 inline bool ParseJson(const std::string& text, JsonValue* out,
                       std::string* error = nullptr) {
   return json_detail::Parser(text, error).Parse(out);

@@ -2,52 +2,125 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+
 #include "nn/datasets.h"
 #include "nn/models/lenet.h"
+#include "nn/models/resnet.h"
 #include "frameworks/profiles.h"
 
 namespace s4tf::frameworks {
 namespace {
 
-TEST(StagedTrainStepTest, MatchesDirectTrainingLossTrajectory) {
-  // Graph-mode staged execution must compute the exact same training
-  // trajectory as the direct (naive-device) tape loop.
-  const auto dataset = nn::SyntheticImageDataset::Mnist(32, 99);
+bool SameBits(const Literal& a, const Literal& b) {
+  return a.shape == b.shape &&
+         std::memcmp(a.data.data(), b.data.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Graph-mode staged execution must compute the exact training trajectory
+// of the direct tape loop (nn::TrainStep with plain SGD on the naive
+// device): every loss and every weight, bit for bit.
+template <ad::DifferentiableStruct M>
+void ExpectStagedMatchesDirectTraining(
+    const std::function<M()>& make_model,
+    const nn::SyntheticImageDataset& dataset, int batch_size, int steps) {
   const float lr = 0.05f;
-
-  // Reference: direct training on the naive device.
-  Rng rng1(7);
-  nn::LeNet reference(rng1);
-  nn::SGD<nn::LeNet> sgd(lr);
-  std::vector<float> reference_losses;
-  for (int step = 0; step < 3; ++step) {
-    const auto batch = dataset.Batch(step, 8, NaiveDevice());
-    reference_losses.push_back(nn::TrainStep(
-        reference, sgd, [&batch](const nn::LeNet& m) {
+  M reference = make_model();
+  nn::SGD<M> sgd(lr);
+  const auto first = dataset.Batch(0, batch_size, NaiveDevice());
+  StagedTrainStep staged(make_model(), first.images.shape(),
+                         dataset.num_classes(), lr);
+  for (int step = 0; step < steps; ++step) {
+    const auto batch = dataset.Batch(step, batch_size, NaiveDevice());
+    const float expected =
+        nn::TrainStep(reference, sgd, [&batch](const M& m) {
           return nn::SoftmaxCrossEntropy(m(batch.images), batch.one_hot);
-        }));
-  }
-
-  // Staged: compile once, re-run with fresh batches.
-  Rng rng2(7);
-  const nn::LeNet model(rng2);
-  StagedOptions options;
-  options.learning_rate = lr;
-  StagedTrainStep<nn::LeNet> staged(model, Shape({8, 28, 28, 1}), 10,
-                                    options);
-  for (int step = 0; step < 3; ++step) {
-    const auto batch = dataset.Batch(step, 8, NaiveDevice());
+        });
     const float loss =
         staged.Run(batch.images.ToLiteral(), batch.one_hot.ToLiteral());
-    EXPECT_NEAR(loss, reference_losses[static_cast<std::size_t>(step)], 1e-3f)
-        << "step " << step;
+    EXPECT_EQ(std::memcmp(&loss, &expected, sizeof(float)), 0)
+        << "step " << step << ": staged " << loss << ", direct " << expected;
   }
+  std::size_t slot = 0;
+  reference.VisitParameters([&](const Tensor& p) {
+    ASSERT_LT(slot, staged.weights().size());
+    EXPECT_TRUE(SameBits(staged.weights()[slot], p.ToLiteral()))
+        << "weight " << slot;
+    ++slot;
+  });
+  EXPECT_EQ(slot, staged.weights().size());
+}
+
+TEST(StagedTrainStepTest, MatchesDirectTrainingLossTrajectory) {
+  ExpectStagedMatchesDirectTraining<nn::LeNet>(
+      [] {
+        Rng rng(7);
+        return nn::LeNet(rng);
+      },
+      nn::SyntheticImageDataset::Mnist(32, 99), /*batch_size=*/8,
+      /*steps=*/3);
+}
+
+// The conv / batch-norm / residual program the tables price.
+TEST(StagedTrainStepTest, MatchesDirectResNetTrainingBitwise) {
+  ExpectStagedMatchesDirectTraining<nn::ResNet>(
+      [] {
+        Rng rng(5);
+        return nn::ResNet(nn::ResNetConfig::Cifar(8), rng);
+      },
+      nn::SyntheticImageDataset::Cifar10(16, 98), /*batch_size=*/4,
+      /*steps=*/2);
+}
+
+TEST(StageTrainStepTest, BindsEveryModuleParameter) {
+  Rng rng(11);
+  const nn::LeNet model(rng);
+  const StagedStep step =
+      StageTrainStep(model, Shape({4, 28, 28, 1}), 10, 0.1f);
+  int weights = 0, images = 0, one_hot = 0;
+  std::vector<bool> slot_seen;
+  for (const StagedBinding& binding : step.bindings) {
+    switch (binding.role) {
+      case StagedBinding::kWeight:
+        ++weights;
+        slot_seen.resize(std::max(slot_seen.size(), binding.slot + 1));
+        EXPECT_FALSE(slot_seen[binding.slot]);
+        slot_seen[binding.slot] = true;
+        break;
+      case StagedBinding::kImages:
+        ++images;
+        break;
+      case StagedBinding::kOneHot:
+        ++one_hot;
+        break;
+      case StagedBinding::kCaptured:
+        break;
+    }
+  }
+  int model_weights = 0;
+  std::int64_t model_parameters = 0;
+  model.VisitParameters([&](const Tensor& p) {
+    ++model_weights;
+    model_parameters += p.NumElements();
+  });
+  EXPECT_EQ(step.bindings.size(),
+            static_cast<std::size_t>(step.module.num_parameters()));
+  EXPECT_EQ(weights, model_weights);
+  EXPECT_EQ(static_cast<int>(slot_seen.size()), model_weights);
+  EXPECT_EQ(images, 1);
+  EXPECT_EQ(one_hot, 1);
+  EXPECT_EQ(step.module.roots().size(),
+            static_cast<std::size_t>(1 + model_weights));
+  EXPECT_EQ(step.parameter_count, model_parameters);
+  EXPECT_GT(step.trace_ops, 0);
 }
 
 TEST(StagedTrainStepTest, CompilesExactlyOnce) {
   Rng rng(8);
   const nn::LeNet model(rng);
-  StagedTrainStep<nn::LeNet> staged(model, Shape({4, 28, 28, 1}), 10);
+  StagedTrainStep staged(model, Shape({4, 28, 28, 1}), 10, 0.05f);
   const double compile_cost = staged.compile_seconds();
   EXPECT_GT(compile_cost, 0.0);
   const auto dataset = nn::SyntheticImageDataset::Mnist(16, 3);
@@ -62,16 +135,13 @@ TEST(StagedTrainStepTest, CompilesExactlyOnce) {
 TEST(StagedTrainStepTest, HostCostIsPerStepNotPerOp) {
   Rng rng(9);
   const nn::LeNet model(rng);
-  StagedOptions options;
-  options.session_overhead_seconds = 1e-3;
-  StagedTrainStep<nn::LeNet> staged(model, Shape({4, 28, 28, 1}), 10,
-                                    options);
+  StagedTrainStep staged(model, Shape({4, 28, 28, 1}), 10, 0.05f);
   const auto dataset = nn::SyntheticImageDataset::Mnist(16, 3);
   for (int step = 0; step < 5; ++step) {
     const auto batch = dataset.Batch(step, 4, NaiveDevice());
     staged.Run(batch.images.ToLiteral(), batch.one_hot.ToLiteral());
   }
-  EXPECT_NEAR(staged.host_seconds(), 5e-3, 1e-9);
+  EXPECT_NEAR(staged.host_seconds(), 5 * kSessionOverheadSeconds, 1e-12);
   // The program has hundreds of instructions; per-op pricing would cost
   // orders of magnitude more host time.
   EXPECT_GT(staged.program_size(), 100);
@@ -80,7 +150,7 @@ TEST(StagedTrainStepTest, HostCostIsPerStepNotPerOp) {
 TEST(StagedTrainStepTest, WeightsEvolve) {
   Rng rng(10);
   const nn::LeNet model(rng);
-  StagedTrainStep<nn::LeNet> staged(model, Shape({4, 28, 28, 1}), 10);
+  StagedTrainStep staged(model, Shape({4, 28, 28, 1}), 10, 0.05f);
   const auto before = staged.weights()[0].data.ToVector();
   const auto dataset = nn::SyntheticImageDataset::Mnist(16, 4);
   const auto batch = dataset.Batch(0, 4, NaiveDevice());
