@@ -1,10 +1,12 @@
 #include "report.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sys/stat.h>
 
+#include "support/error.h"
 #include "support/json.h"
 #include "support/threadpool.h"
 
@@ -19,6 +21,20 @@ std::string FormatExact(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
+}
+
+// FormatExact would write NaN and infinity as `nan` and `inf`, which are
+// not JSON: bench_compare would call the artifact unreadable instead of
+// diffing it. So a double setter refuses them, naming where the value
+// was headed.
+double RequireFinite(double value, const char* owner_kind,
+                     const std::string& owner, const char* section,
+                     const std::string& key) {
+  S4TF_CHECK(std::isfinite(value))
+      << owner_kind << " \"" << owner << "\": " << section << " \"" << key
+      << "\" = " << value
+      << " is not finite, and a bench artifact holds only JSON numbers";
+  return value;
 }
 
 // Wall-clock stats are noise-bounded, not exact: 3 decimals of a
@@ -134,6 +150,21 @@ void BenchRow::SetCounters(const MetricsDelta& delta) {
   }
 }
 
+void BenchRow::SetValue(const std::string& name, double value) {
+  values_[name] = RequireFinite(value, "bench row", label_, "values", name);
+}
+
+void BenchRow::SetWall(const std::string& name, const WallStats& stats) {
+  for (const double ms : {stats.mean_ms, stats.min_ms, stats.max_ms}) {
+    RequireFinite(ms, "bench row", label_, "wall_ms", name);
+  }
+  wall_[name] = stats;
+}
+
+void BenchRow::SetNoisy(const std::string& name, double value) {
+  noisy_[name] = RequireFinite(value, "bench row", label_, "noisy", name);
+}
+
 BenchReport::BenchReport(std::string name) : name_(std::move(name)) {}
 
 void BenchReport::SetConfig(const std::string& key, std::int64_t value) {
@@ -149,7 +180,8 @@ void BenchReport::SetConfig(const std::string& key, bool value) {
 }
 
 void BenchReport::SetConfig(const std::string& key, double value) {
-  config_[key] = FormatExact(value);
+  config_[key] =
+      FormatExact(RequireFinite(value, "bench", name_, "config", key));
 }
 
 BenchRow& BenchReport::AddRow(std::string label) {

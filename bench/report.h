@@ -228,20 +228,17 @@ class BenchRow {
   }
   // Copies every non-zero (non-".shards") counter delta from `delta`.
   void SetCounters(const MetricsDelta& delta);
-  void SetValue(const std::string& name, double value) {
-    values_[name] = value;
-  }
+  // JSON has no NaN or infinity, so every double setter (here and
+  // BenchReport::SetConfig) throws InternalError on a non-finite value,
+  // naming the row and the key.
+  void SetValue(const std::string& name, double value);
   void SetText(const std::string& key, const std::string& value) {
     text_[key] = value;
   }
 
   // Non-deterministic sections (warn-only in bench_compare).
-  void SetWall(const std::string& name, const WallStats& stats) {
-    wall_[name] = stats;
-  }
-  void SetNoisy(const std::string& name, double value) {
-    noisy_[name] = value;
-  }
+  void SetWall(const std::string& name, const WallStats& stats);
+  void SetNoisy(const std::string& name, double value);
 
   const std::string& label() const { return label_; }
 

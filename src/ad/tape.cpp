@@ -34,54 +34,88 @@ Tensor Unbroadcast(const Tensor& grad, const Shape& target) {
 
 std::vector<std::optional<Tensor>> OpPullback(
     OpKind kind, const OpAttrs& attrs, const std::vector<Tensor>& inputs,
-    const Tensor& output, const Tensor& grad) {
+    const Tensor& output, const Tensor& grad,
+    const std::vector<bool>& needed) {
+  S4TF_CHECK_EQ(needed.size(), inputs.size())
+      << "adjoint mask arity for op " << OpName(kind);
   std::vector<std::optional<Tensor>> result(inputs.size());
+  // Nothing requested, nothing built. Past this point a one-input rule
+  // may assume its input is requested; a multi-input rule builds only the
+  // requested adjoints and the intermediates they read.
+  if (std::none_of(needed.begin(), needed.end(), [](bool n) { return n; })) {
+    return result;
+  }
   switch (kind) {
     case OpKind::kAdd:
-      result[0] = Unbroadcast(grad, inputs[0].shape());
-      result[1] = Unbroadcast(grad, inputs[1].shape());
+      if (needed[0]) result[0] = Unbroadcast(grad, inputs[0].shape());
+      if (needed[1]) result[1] = Unbroadcast(grad, inputs[1].shape());
       break;
     case OpKind::kSub:
-      result[0] = Unbroadcast(grad, inputs[0].shape());
-      result[1] = Unbroadcast(-grad, inputs[1].shape());
+      if (needed[0]) result[0] = Unbroadcast(grad, inputs[0].shape());
+      if (needed[1]) result[1] = Unbroadcast(-grad, inputs[1].shape());
       break;
     case OpKind::kMul:
-      result[0] = Unbroadcast(grad * inputs[1], inputs[0].shape());
-      result[1] = Unbroadcast(grad * inputs[0], inputs[1].shape());
+      if (needed[0]) {
+        result[0] = Unbroadcast(grad * inputs[1], inputs[0].shape());
+      }
+      if (needed[1]) {
+        result[1] = Unbroadcast(grad * inputs[0], inputs[1].shape());
+      }
       break;
     case OpKind::kDiv:
-      result[0] = Unbroadcast(grad / inputs[1], inputs[0].shape());
-      result[1] = Unbroadcast(-grad * inputs[0] / Square(inputs[1]),
-                              inputs[1].shape());
+      if (needed[0]) {
+        result[0] = Unbroadcast(grad / inputs[1], inputs[0].shape());
+      }
+      if (needed[1]) {
+        result[1] = Unbroadcast(-grad * inputs[0] / Square(inputs[1]),
+                                inputs[1].shape());
+      }
       break;
     case OpKind::kMaximum: {
       const Tensor mask = Greater(inputs[0], inputs[1]);
-      result[0] = Unbroadcast(grad * mask, inputs[0].shape());
-      result[1] = Unbroadcast(grad * (1.0f - mask), inputs[1].shape());
+      if (needed[0]) {
+        result[0] = Unbroadcast(grad * mask, inputs[0].shape());
+      }
+      if (needed[1]) {
+        result[1] = Unbroadcast(grad * (1.0f - mask), inputs[1].shape());
+      }
       break;
     }
     case OpKind::kMinimum: {
       const Tensor mask = Greater(inputs[1], inputs[0]);
-      result[0] = Unbroadcast(grad * mask, inputs[0].shape());
-      result[1] = Unbroadcast(grad * (1.0f - mask), inputs[1].shape());
+      if (needed[0]) {
+        result[0] = Unbroadcast(grad * mask, inputs[0].shape());
+      }
+      if (needed[1]) {
+        result[1] = Unbroadcast(grad * (1.0f - mask), inputs[1].shape());
+      }
       break;
     }
     case OpKind::kPow: {
       // d/da a^b = b a^(b-1);  d/db a^b = a^b ln a  (a > 0 domain).
-      result[0] = Unbroadcast(
-          grad * inputs[1] * Pow(inputs[0], inputs[1] - 1.0f),
-          inputs[0].shape());
-      result[1] = Unbroadcast(grad * output * Log(inputs[0]),
-                              inputs[1].shape());
+      if (needed[0]) {
+        result[0] = Unbroadcast(
+            grad * inputs[1] * Pow(inputs[0], inputs[1] - 1.0f),
+            inputs[0].shape());
+      }
+      if (needed[1]) {
+        result[1] = Unbroadcast(grad * output * Log(inputs[0]),
+                                inputs[1].shape());
+      }
       break;
     }
     case OpKind::kGreater:
       // Boolean output: zero derivative everywhere it exists.
       break;
     case OpKind::kSelect: {
+      // The condition is boolean and gets no adjoint.
       const Tensor& cond = inputs[0];
-      result[1] = Unbroadcast(grad * cond, inputs[1].shape());
-      result[2] = Unbroadcast(grad * (1.0f - cond), inputs[2].shape());
+      if (needed[1]) {
+        result[1] = Unbroadcast(grad * cond, inputs[1].shape());
+      }
+      if (needed[2]) {
+        result[2] = Unbroadcast(grad * (1.0f - cond), inputs[2].shape());
+      }
       break;
     }
 
@@ -178,10 +212,12 @@ std::vector<std::optional<Tensor>> OpPullback(
       const int axis = static_cast<int>(attrs.axis);
       for (std::size_t i = 0; i < inputs.size(); ++i) {
         const Shape& in_shape = inputs[i].shape();
-        std::vector<std::int64_t> starts(
-            static_cast<std::size_t>(in_shape.rank()), 0);
-        starts[static_cast<std::size_t>(axis)] = offset;
-        result[i] = Slice(grad, std::move(starts), in_shape.dims());
+        if (needed[i]) {
+          std::vector<std::int64_t> starts(
+              static_cast<std::size_t>(in_shape.rank()), 0);
+          starts[static_cast<std::size_t>(axis)] = offset;
+          result[i] = Slice(grad, std::move(starts), in_shape.dims());
+        }
         offset += in_shape.dim(axis);
       }
       break;
@@ -227,19 +263,25 @@ std::vector<std::optional<Tensor>> OpPullback(
     }
 
     case OpKind::kMatMul:
-      result[0] = MatMul(grad, Transposed(inputs[1]));
-      result[1] = MatMul(Transposed(inputs[0]), grad);
+      if (needed[0]) result[0] = MatMul(grad, Transposed(inputs[1]));
+      if (needed[1]) result[1] = MatMul(Transposed(inputs[0]), grad);
       break;
 
     case OpKind::kConv2D: {
-      OpAttrs input_attrs = attrs;
-      input_attrs.shape = inputs[0].shape().dims();
-      result[0] = ApplyOp(OpKind::kConv2DBackpropInput, {grad, inputs[1]},
-                          input_attrs);
-      OpAttrs filter_attrs = attrs;
-      filter_attrs.shape = inputs[1].shape().dims();
-      result[1] = ApplyOp(OpKind::kConv2DBackpropFilter, {inputs[0], grad},
-                          filter_attrs);
+      // A first layer's input (the images) is never on the tape, and its
+      // input gradient is the costliest conv call of a LeNet step.
+      if (needed[0]) {
+        OpAttrs input_attrs = attrs;
+        input_attrs.shape = inputs[0].shape().dims();
+        result[0] = ApplyOp(OpKind::kConv2DBackpropInput, {grad, inputs[1]},
+                            input_attrs);
+      }
+      if (needed[1]) {
+        OpAttrs filter_attrs = attrs;
+        filter_attrs.shape = inputs[1].shape().dims();
+        result[1] = ApplyOp(OpKind::kConv2DBackpropFilter, {inputs[0], grad},
+                            filter_attrs);
+      }
       break;
     }
     case OpKind::kAvgPool2D: {
@@ -432,11 +474,16 @@ std::vector<std::optional<Tensor>> GradientTape::ComputeGradients(
     const Node& node = nodes_[sid];
     if (node.kind == OpKind::kParameter) continue;
 
+    // Runtime activity analysis: only inputs on the tape get an adjoint.
+    std::vector<bool> needed(node.input_ids.size());
+    for (std::size_t i = 0; i < needed.size(); ++i) {
+      needed[i] = node.input_ids[i] >= 0;
+    }
     const auto input_grads =
         node.custom
             ? node.custom(node.inputs, node.output, *grads[sid])
             : OpPullback(node.kind, node.attrs, node.inputs, node.output,
-                         *grads[sid]);
+                         *grads[sid], needed);
     S4TF_CHECK_EQ(input_grads.size(), node.input_ids.size())
         << "pullback returned wrong arity";
     for (std::size_t i = 0; i < node.input_ids.size(); ++i) {

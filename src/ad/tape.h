@@ -15,7 +15,10 @@
 // Activity analysis appears here in runtime form: an op is recorded only
 // if one of its inputs is *varied* (reaches a watched parameter), and
 // pullbacks are propagated only through nodes that are *useful*
-// (reached backwards from the loss).
+// (reached backwards from the loss). Within a useful node, the reverse
+// sweep passes OpPullback an adjoint mask that requests only the varied
+// inputs, so no adjoint is built for a constant input: a first conv
+// layer never computes the gradient of its images.
 #pragma once
 
 #include <cstdint>
@@ -104,13 +107,18 @@ class GradientTape final : public OpRecorder {
 };
 
 // Per-op VJP rule: given the node's saved primal values and the incoming
-// gradient, produces the gradient for each input (entries for non-varied
-// inputs are left unset). Exposed for direct unit testing.
+// gradient, produces the gradient of each input i for which `needed[i]`
+// is set (the adjoint mask; one flag per input). Only the requested
+// adjoints and the intermediates they read are built; every other entry
+// is left unset, as are entries of inputs with no derivative (a select's
+// condition). A requested adjoint is the same expression, bit for bit,
+// whatever else is requested. Exposed for direct unit testing.
 std::vector<std::optional<Tensor>> OpPullback(OpKind kind,
                                               const OpAttrs& attrs,
                                               const std::vector<Tensor>& inputs,
                                               const Tensor& output,
-                                              const Tensor& grad);
+                                              const Tensor& grad,
+                                              const std::vector<bool>& needed);
 
 // Sum-reduces `grad` back to `target` shape after broadcasting (the
 // adjoint of NumPy broadcasting).

@@ -204,7 +204,13 @@ class Parser {
         case 'r': out->push_back('\r'); break;
         case 't': out->push_back('\t'); break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
+          for (std::size_t k = 0; k < 4; ++k) {
+            if (pos_ + k >= text_.size() ||
+                !std::isxdigit(static_cast<unsigned char>(text_[pos_ + k]))) {
+              pos_ += k;
+              return Fail("bad \\u escape");
+            }
+          }
           const unsigned long code =
               std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
           pos_ += 4;
@@ -219,13 +225,38 @@ class Parser {
     return Fail("unterminated string");
   }
 
+  bool Digit(std::size_t at) const {
+    return at < text_.size() && text_[at] >= '0' && text_[at] <= '9';
+  }
+
+  // JSON's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+  // is checked before strtod converts the span: strtod alone would also
+  // take inf, nan, hex and a leading '+'. On failure the offset points at
+  // the first character that breaks the grammar.
   bool ParseNumber(JsonValue* out) {
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double parsed = std::strtod(begin, &end);
-    if (end == begin) return Fail("bad number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    out->value = parsed;
+    const std::size_t start = pos_;
+    if (text_[pos_] == '-') ++pos_;  // ParseValue saw a character here
+    if (!Digit(pos_)) return Fail("bad number");
+    if (text_[pos_] == '0') {
+      ++pos_;
+    } else {
+      while (Digit(pos_)) ++pos_;
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!Digit(pos_)) return Fail("bad number");
+      while (Digit(pos_)) ++pos_;
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      if (!Digit(pos_)) return Fail("bad number");
+      while (Digit(pos_)) ++pos_;
+    }
+    out->value =
+        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
     return true;
   }
 

@@ -1,11 +1,13 @@
 #include "ad/tape.h"
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <gtest/gtest.h>
 
 #include "ad/operators.h"
 #include "gradient_check.h"
+#include "obs/metrics.h"
 
 namespace s4tf::ad {
 namespace {
@@ -379,6 +381,237 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ConvGradCase>& info) {
       return info.param.name;
     });
+
+// ---------------------------------------------------------------------------
+// The adjoint mask: OpPullback builds exactly the requested adjoints, and
+// each one is the same tensor, bit for bit, as in the all-inputs call.
+
+// Keeps the last op ApplyOp issues, so a case names its op through the
+// public op surface and the test replays that op's pullback.
+class LastOpRecorder final : public OpRecorder {
+ public:
+  void RecordOp(OpKind op_kind, const OpAttrs& op_attrs,
+                const std::vector<Tensor>& op_inputs,
+                Tensor& op_output) override {
+    kind = op_kind;
+    attrs = op_attrs;
+    inputs = op_inputs;
+    output = op_output;
+  }
+
+  OpKind kind = OpKind::kConstant;
+  OpAttrs attrs;
+  std::vector<Tensor> inputs;
+  Tensor output;
+};
+
+struct MaskCase {
+  const char* name;
+  OpKind kind;  // the op `f`'s last call issues
+  std::vector<Shape> shapes;
+  std::function<Tensor(const std::vector<Tensor>&)> f;
+};
+
+void PrintTo(const MaskCase& c, std::ostream* os) { *os << c.name; }
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  const std::vector<float> av = a.ToVector();
+  const std::vector<float> bv = b.ToVector();
+  return std::memcmp(av.data(), bv.data(), av.size() * sizeof(float)) == 0;
+}
+
+std::int64_t CounterDelta(const obs::MetricsSnapshot& before,
+                          const std::string& name) {
+  return obs::MetricsRegistry::Global().Snapshot().counter(name) -
+         before.counter(name);
+}
+
+class AdjointMaskTest : public ::testing::TestWithParam<MaskCase> {};
+
+TEST_P(AdjointMaskTest, BuildsExactlyTheRequestedAdjointsBitForBit) {
+  const MaskCase& c = GetParam();
+  Rng rng(2024);
+  std::vector<Tensor> args;
+  // Inputs in (0.3, 1.3) keep log, pow and div well-defined.
+  for (const Shape& shape : c.shapes) {
+    args.push_back(Tensor::RandomUniform(shape, rng, 0.3f, 1.3f));
+  }
+  LastOpRecorder op;
+  {
+    RecorderScope scope(&op);
+    (void)c.f(args);
+  }
+  ASSERT_EQ(op.kind, c.kind) << OpName(op.kind);
+  const Tensor grad =
+      Tensor::RandomUniform(op.output.shape(), rng, -1.0f, 1.0f);
+  const std::size_t n = op.inputs.size();
+  ASSERT_LE(n, 8u);
+  const auto full = OpPullback(op.kind, op.attrs, op.inputs, op.output, grad,
+                               std::vector<bool>(n, true));
+  ASSERT_EQ(full.size(), n);
+  // Subset 0 requests nothing: no entry may be set and no kernel may run,
+  // not even a one-input rule's.
+  for (unsigned subset = 0; subset < (1u << n); ++subset) {
+    std::vector<bool> needed(n);
+    for (std::size_t i = 0; i < n; ++i) needed[i] = (subset >> i) & 1u;
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::Global().Snapshot();
+    const auto masked =
+        OpPullback(op.kind, op.attrs, op.inputs, op.output, grad, needed);
+    ASSERT_EQ(masked.size(), n);
+    if (subset == 0) {
+      EXPECT_EQ(CounterDelta(before, "tensor.kernel.dispatches"), 0);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(::testing::Message() << "subset " << subset << " input "
+                                        << i);
+      if (!needed[i]) {
+        EXPECT_FALSE(masked[i].has_value());
+        continue;
+      }
+      ASSERT_EQ(masked[i].has_value(), full[i].has_value());
+      if (full[i].has_value()) {
+        EXPECT_TRUE(SameBits(*masked[i], *full[i]));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BuiltinRules, AdjointMaskTest,
+    ::testing::Values(
+        MaskCase{"add_broadcast", OpKind::kAdd, {Shape({4, 8}), Shape({8})},
+                 [](const auto& in) { return in[0] + in[1]; }},
+        MaskCase{"sub_broadcast", OpKind::kSub, {Shape({4, 8}), Shape({4, 1})},
+                 [](const auto& in) { return in[0] - in[1]; }},
+        MaskCase{"mul_broadcast", OpKind::kMul, {Shape({4, 8}), Shape({8})},
+                 [](const auto& in) { return in[0] * in[1]; }},
+        MaskCase{"div_broadcast", OpKind::kDiv, {Shape({8}), Shape({4, 8})},
+                 [](const auto& in) { return in[0] / in[1]; }},
+        MaskCase{"maximum", OpKind::kMaximum, {Shape({4, 8}), Shape({4, 8})},
+                 [](const auto& in) { return Maximum(in[0], in[1]); }},
+        MaskCase{"minimum_broadcast", OpKind::kMinimum,
+                 {Shape({4, 8}), Shape({8})},
+                 [](const auto& in) { return Minimum(in[0], in[1]); }},
+        MaskCase{"pow", OpKind::kPow, {Shape({32}), Shape({32})},
+                 [](const auto& in) { return Pow(in[0], in[1]); }},
+        MaskCase{"greater", OpKind::kGreater, {Shape({32}), Shape({32})},
+                 [](const auto& in) { return Greater(in[0], in[1]); }},
+        MaskCase{"select", OpKind::kSelect,
+                 {Shape({32}), Shape({32}), Shape({32})},
+                 [](const auto& in) {
+                   return Select(Greater(in[0], in[1]), in[1], in[2]);
+                 }},
+        MaskCase{"neg", OpKind::kNeg, {Shape({4})},
+                 [](const auto& in) { return -in[0]; }},
+        MaskCase{"exp", OpKind::kExp, {Shape({4})},
+                 [](const auto& in) { return Exp(in[0]); }},
+        MaskCase{"log", OpKind::kLog, {Shape({4})},
+                 [](const auto& in) { return Log(in[0]); }},
+        MaskCase{"tanh", OpKind::kTanh, {Shape({4})},
+                 [](const auto& in) { return Tanh(in[0]); }},
+        MaskCase{"sqrt", OpKind::kSqrt, {Shape({4})},
+                 [](const auto& in) { return Sqrt(in[0]); }},
+        MaskCase{"rsqrt", OpKind::kRsqrt, {Shape({4})},
+                 [](const auto& in) { return Rsqrt(in[0]); }},
+        MaskCase{"square", OpKind::kSquare, {Shape({4})},
+                 [](const auto& in) { return Square(in[0]); }},
+        MaskCase{"relu", OpKind::kRelu, {Shape({6})},
+                 [](const auto& in) { return Relu(in[0] - 0.8f); }},
+        MaskCase{"sigmoid", OpKind::kSigmoid, {Shape({4})},
+                 [](const auto& in) { return Sigmoid(in[0]); }},
+        MaskCase{"abs", OpKind::kAbs, {Shape({6})},
+                 [](const auto& in) { return Abs(in[0] - 0.8f); }},
+        MaskCase{"add_scalar", OpKind::kAddScalar, {Shape({4})},
+                 [](const auto& in) { return in[0] + 2.0f; }},
+        MaskCase{"mul_scalar", OpKind::kMulScalar, {Shape({4})},
+                 [](const auto& in) { return in[0] * 3.0f; }},
+        MaskCase{"pow_scalar", OpKind::kPowScalar, {Shape({4})},
+                 [](const auto& in) {
+                   return ApplyOp(OpKind::kPowScalar, {in[0]},
+                                  OpAttrs{.scalar = 3.0f});
+                 }},
+        MaskCase{"leaky_relu", OpKind::kLeakyRelu, {Shape({6})},
+                 [](const auto& in) { return LeakyRelu(in[0] - 0.8f, 0.1f); }},
+        MaskCase{"reshape", OpKind::kReshape, {Shape({2, 3})},
+                 [](const auto& in) { return Reshape(in[0], Shape({3, 2})); }},
+        MaskCase{"transpose", OpKind::kTranspose, {Shape({2, 3, 4})},
+                 [](const auto& in) { return Transpose(in[0], {2, 0, 1}); }},
+        MaskCase{"broadcast_to", OpKind::kBroadcastTo, {Shape({3})},
+                 [](const auto& in) {
+                   return BroadcastTo(in[0], Shape({2, 3}));
+                 }},
+        MaskCase{"slice", OpKind::kSlice, {Shape({3, 4})},
+                 [](const auto& in) { return Slice(in[0], {1, 1}, {2, 2}); }},
+        MaskCase{"pad", OpKind::kPad, {Shape({2, 3})},
+                 [](const auto& in) { return Pad(in[0], {1, 0, 0, 2}); }},
+        MaskCase{"concat", OpKind::kConcat,
+                 {Shape({2, 1}), Shape({2, 3}), Shape({2, 2})},
+                 [](const auto& in) { return Concat({in[0], in[1], in[2]}, 1); }},
+        MaskCase{"reduce_sum", OpKind::kReduceSum, {Shape({2, 3})},
+                 [](const auto& in) { return ReduceSum(in[0], {1}); }},
+        MaskCase{"reduce_mean", OpKind::kReduceMean, {Shape({2, 3})},
+                 [](const auto& in) { return ReduceMean(in[0], {0}, true); }},
+        MaskCase{"reduce_max", OpKind::kReduceMax, {Shape({2, 3})},
+                 [](const auto& in) { return ReduceMax(in[0], {1}); }},
+        MaskCase{"argmax", OpKind::kArgMax, {Shape({2, 3})},
+                 [](const auto& in) { return ArgMax(in[0], 1); }},
+        MaskCase{"softmax", OpKind::kSoftmax, {Shape({2, 4})},
+                 [](const auto& in) { return Softmax(in[0]); }},
+        MaskCase{"log_softmax", OpKind::kLogSoftmax, {Shape({2, 4})},
+                 [](const auto& in) { return LogSoftmax(in[0]); }},
+        MaskCase{"matmul", OpKind::kMatMul, {Shape({4, 6}), Shape({6, 5})},
+                 [](const auto& in) { return MatMul(in[0], in[1]); }},
+        MaskCase{"conv2d", OpKind::kConv2D,
+                 {Shape({2, 5, 5, 2}), Shape({3, 3, 2, 3})},
+                 [](const auto& in) {
+                   return Conv2D(in[0], in[1], {.padding = Padding::kSame});
+                 }},
+        MaskCase{"conv2d_strided", OpKind::kConv2D,
+                 {Shape({1, 6, 6, 1}), Shape({3, 3, 1, 2})},
+                 [](const auto& in) {
+                   return Conv2D(in[0], in[1],
+                                 {.stride_h = 2, .stride_w = 2});
+                 }},
+        MaskCase{"avg_pool", OpKind::kAvgPool2D, {Shape({1, 4, 4, 2})},
+                 [](const auto& in) { return AvgPool2D(in[0]); }},
+        MaskCase{"max_pool", OpKind::kMaxPool2D, {Shape({1, 4, 4, 2})},
+                 [](const auto& in) { return MaxPool2D(in[0]); }},
+        MaskCase{"cross_replica_sum", OpKind::kCrossReplicaSum, {Shape({3})},
+                 [](const auto& in) { return CrossReplicaSum(in[0]); }}),
+    [](const ::testing::TestParamInfo<MaskCase>& info) {
+      return info.param.name;
+    });
+
+TEST(AdjointMaskTest, UnrequestedConvAdjointDispatchesNoKernel) {
+  Rng rng(3);
+  const Tensor images = Tensor::RandomUniform(Shape({2, 6, 6, 1}), rng);
+  const Tensor filter = Tensor::RandomUniform(Shape({3, 3, 1, 4}), rng);
+  const OpAttrs attrs{.padding = Padding::kSame};
+  const Tensor out = ApplyOp(OpKind::kConv2D, {images, filter}, attrs);
+  const Tensor grad = Tensor::Ones(out.shape());
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
+  const auto adjoints = OpPullback(OpKind::kConv2D, attrs, {images, filter},
+                                   out, grad, {false, true});
+  EXPECT_FALSE(adjoints[0].has_value());
+  ASSERT_TRUE(adjoints[1].has_value());
+  (void)adjoints[1]->ToVector();
+  EXPECT_EQ(
+      CounterDelta(before, "tensor.kernel.dispatch.conv2d_backprop_input"), 0);
+  EXPECT_EQ(
+      CounterDelta(before, "tensor.kernel.dispatch.conv2d_backprop_filter"),
+      1);
+  EXPECT_EQ(CounterDelta(before, "tensor.kernel.dispatches"), 1);
+}
+
+TEST(AdjointMaskTest, MaskArityMustMatchTheInputs) {
+  const Tensor a = Tensor::Ones(Shape({2}));
+  const Tensor out = a + a;
+  EXPECT_THROW(OpPullback(OpKind::kAdd, {}, {a, a}, out, out, {true}),
+               InternalError);
+}
 
 }  // namespace
 }  // namespace s4tf::ad

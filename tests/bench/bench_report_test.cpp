@@ -11,13 +11,16 @@
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "bench/compare.h"
 #include "obs/metrics.h"
+#include "support/error.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "support/threadpool.h"
@@ -107,6 +110,51 @@ TEST(BenchReportSchemaTest, DeterministicJsonOmitsMachineDependentSections) {
             128.0);
   EXPECT_EQ(rows[0].at("values").at("cost.step_seconds").number(), 0.1 + 0.2);
   EXPECT_EQ(rows[0].at("text").at("shape_holds").str(), "YES");
+}
+
+// NaN and infinity have no JSON spelling: a setter that took one would
+// write `nan` or `inf`, and bench_compare would call the artifact
+// unreadable. Each double setter throws instead, naming the row (or the
+// bench, for config) and the key.
+TEST(BenchReportSchemaTest, NonFiniteDoublesFailNamingTheRowAndKey) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  BenchReport report("sample");
+  BenchRow& row = report.AddRow("step/1");
+  WallStats bad_wall;
+  bad_wall.AddSample(1.0);
+  bad_wall.AddSample(inf);
+  const auto expect_rejected = [](const std::function<void()>& set,
+                                  const std::vector<std::string>& names) {
+    try {
+      set();
+      ADD_FAILURE() << "a non-finite value was accepted";
+    } catch (const InternalError& e) {
+      for (const std::string& name : names) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  expect_rejected([&] { row.SetValue("cost.seconds", nan); },
+                  {"\"step/1\"", "values \"cost.seconds\"", "nan"});
+  expect_rejected([&] { row.SetNoisy("peak_bytes", -inf); },
+                  {"\"step/1\"", "noisy \"peak_bytes\"", "-inf"});
+  expect_rejected([&] { row.SetWall("train_step", bad_wall); },
+                  {"\"step/1\"", "wall_ms \"train_step\""});
+  expect_rejected([&] { report.SetConfig("learning_rate", inf); },
+                  {"bench \"sample\"", "config \"learning_rate\""});
+
+  // Nothing reached the artifact, which still parses and holds only the
+  // finite values set around the refused ones.
+  row.SetValue("cost.seconds", 0.25);
+  report.SetConfig("learning_rate", 0.1);
+  const json::JsonValue root = Parsed(report.ToJson());
+  const json::JsonValue& parsed_row = root.at("rows").array().at(0);
+  EXPECT_EQ(parsed_row.at("values").at("cost.seconds").number(), 0.25);
+  EXPECT_FALSE(parsed_row.has("noisy"));
+  EXPECT_FALSE(parsed_row.has("wall_ms"));
+  EXPECT_EQ(root.at("config").at("learning_rate").number(), 0.1);
 }
 
 // The core artifact contract: the deterministic serialization of a real

@@ -6,6 +6,7 @@
 #include "nn/datasets.h"
 #include "nn/models/lenet.h"
 #include "nn/models/spline.h"
+#include "obs/metrics.h"
 
 namespace s4tf::nn {
 namespace {
@@ -167,6 +168,28 @@ TEST(TrainingIntegrationTest, LeNetLearnsSyntheticMnist) {
   EXPECT_LT(loss, std::log(10.0f));
   EXPECT_GT(after, before);
   EXPECT_GT(after, 0.6f);  // synthetic classes are easily separable
+}
+
+TEST(TrainingIntegrationTest, LeNetStepSkipsTheImageGradient) {
+  // The images are not on the tape, so the reverse sweep asks conv1's
+  // pullback for its filter adjoint only: one input gradient (conv2's)
+  // and two filter gradients per step.
+  Rng rng(11);
+  LeNet model(rng);
+  const auto dataset = SyntheticImageDataset::Mnist(8, 13);
+  const auto batch = dataset.Batch(0, 8, NaiveDevice());
+  SGD<LeNet> sgd(0.05f);
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
+  (void)TrainStep(model, sgd, [&batch](const LeNet& m) {
+    return SoftmaxCrossEntropy(m(batch.images), batch.one_hot);
+  });
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  auto delta = [&](const std::string& name) {
+    return after.counter(name) - before.counter(name);
+  };
+  EXPECT_EQ(delta("tensor.kernel.dispatch.conv2d_backprop_input"), 1);
+  EXPECT_EQ(delta("tensor.kernel.dispatch.conv2d_backprop_filter"), 2);
 }
 
 TEST(TrainingIntegrationTest, TrainingOnLazyDeviceMatchesNaive) {

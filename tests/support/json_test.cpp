@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <string>
 
 namespace s4tf::json {
@@ -38,6 +40,45 @@ TEST(JsonTest, DeepNestingFailsWithTheOffsetInsteadOfCrashing) {
                   std::to_string(kMaxJsonDepth * open.size())),
               std::string::npos)
         << error;
+  }
+}
+
+// strtod alone reads all of these; JSON has none of them.
+TEST(JsonTest, RejectsNumbersOutsideTheJsonGrammar) {
+  for (const char* text : {"[inf]", "[-inf]", "[nan]", "[0x10]", "[+1]",
+                           "[01]", "[1.]", "[.5]", "[1e]", "[1e+]", "[-]",
+                           "[-.5]", "[1.e3]"}) {
+    JsonValue value;
+    std::string error;
+    EXPECT_FALSE(ParseJson(text, &value, &error)) << text;
+    EXPECT_NE(error.find(" at offset "), std::string::npos) << text << error;
+  }
+}
+
+TEST(JsonTest, JsonNumbersParseToTheSameDoubleAsStrtod) {
+  for (const char* text : {"-0", "0", "1e-07", "6.02E+23", "0.5", "-12.25e2",
+                           "0.30000000000000004", "123456789012"}) {
+    JsonValue value;
+    std::string error;
+    ASSERT_TRUE(ParseJson(std::string("[") + text + "]", &value, &error))
+        << text << ": " << error;
+    const double parsed = value.array().at(0).number();
+    const double expected = std::strtod(text, nullptr);
+    EXPECT_EQ(parsed, expected) << text;
+    EXPECT_EQ(std::signbit(parsed), std::signbit(expected)) << text;
+  }
+}
+
+TEST(JsonTest, UnicodeEscapeNeedsFourHexDigits) {
+  JsonValue value;
+  std::string error;
+  ASSERT_TRUE(ParseJson(R"(["\u0041z"])", &value, &error)) << error;
+  EXPECT_EQ(value.array().at(0).str(), "Az");
+  for (const char* text : {R"(["\uzzzz"])", R"(["\u12"])", R"(["\u12g4"])",
+                           R"(["\u-123"])", R"(["\u 123"])", R"(["\u)"}) {
+    EXPECT_FALSE(ParseJson(text, &value, &error)) << text;
+    EXPECT_NE(error.find("bad \\u escape at offset "), std::string::npos)
+        << text << ": " << error;
   }
 }
 
