@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -196,19 +194,6 @@ struct RingCommunicator::AsyncOp {
   std::exception_ptr error;    // first bucket failure
 };
 
-struct RingCommunicator::BucketJob {
-  std::shared_ptr<AsyncOp> op;
-  std::int64_t bucket = 0;
-};
-
-struct RingCommunicator::CommThread {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<BucketJob> queue;
-  bool shutdown = false;
-  std::thread thread;  // started on the rank's first RunAsync
-};
-
 RingCommunicator::RingCommunicator(int world_size, CollectiveOptions options,
                                    FaultPlan faults)
     : world_(world_size),
@@ -220,26 +205,17 @@ RingCommunicator::RingCommunicator(int world_size, CollectiveOptions options,
   S4TF_CHECK_GT(options_.bucket_bytes, 0) << "bucket_bytes must be positive";
   S4TF_CHECK_GE(options_.max_retries, 0);
   mailboxes_.reserve(static_cast<std::size_t>(world_));
-  comm_threads_.reserve(static_cast<std::size_t>(world_));
   for (int i = 0; i < world_; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
-    comm_threads_.push_back(std::make_unique<CommThread>());
   }
+  comm_queues_.resize(static_cast<std::size_t>(world_));
 }
 
-RingCommunicator::~RingCommunicator() {
-  // All handles must be waited/destroyed before the communicator dies, so
-  // the queues are normally empty here; any stragglers are bounded by the
-  // per-receive retry budget and drain before the join returns.
-  for (auto& ct : comm_threads_) {
-    {
-      std::lock_guard<std::mutex> lock(ct->mutex);
-      ct->shutdown = true;
-    }
-    ct->cv.notify_all();
-    if (ct->thread.joinable()) ct->thread.join();
-  }
-}
+// All handles must be waited/destroyed before the communicator dies, so
+// the queues are normally empty here; any stragglers are bounded by the
+// per-receive retry budget, and each queue runs them before its worker
+// joins. comm_queues_ is the last member, so it goes first.
+RingCommunicator::~RingCommunicator() = default;
 
 void RingCommunicator::AttachAccelerator(int rank,
                                          SimAccelerator* accelerator) {
@@ -536,67 +512,44 @@ void RingCommunicator::RunCallBucket(const Call& call, std::int64_t b) {
   }
 }
 
-RingCommunicator::CommThread& RingCommunicator::EnsureCommThread(int rank) {
-  CommThread& ct = *comm_threads_[static_cast<std::size_t>(rank)];
-  std::lock_guard<std::mutex> lock(ct.mutex);
-  if (!ct.thread.joinable()) {
-    ct.thread = std::thread([this, rank] { CommThreadMain(rank); });
-  }
-  return ct;
-}
-
-void RingCommunicator::CommThreadMain(int rank) {
-  CommThread& ct = *comm_threads_[static_cast<std::size_t>(rank)];
-  for (;;) {
-    BucketJob job;
-    {
-      std::unique_lock<std::mutex> lock(ct.mutex);
-      ct.cv.wait(lock, [&] { return ct.shutdown || !ct.queue.empty(); });
-      if (ct.queue.empty()) return;  // shutdown with nothing left to drain
-      job = std::move(ct.queue.front());
-      ct.queue.pop_front();
-    }
-    AsyncOp& op = *job.op;
-    bool skip;
-    {
-      std::lock_guard<std::mutex> lock(op.mutex);
-      // Once a bucket fails (or the handle is abandoned), later buckets of
-      // the same op are skipped: the op is already lost, and skipping
-      // avoids paying a full retry budget per remaining bucket. The queue
-      // is FIFO and this thread is the only consumer, so which buckets
-      // get skipped is deterministic given the failure point.
-      skip = op.abandoned || op.error != nullptr;
-    }
-    if (!skip) {
-      try {
-        obs::TraceSpan span("dist.allreduce.bucket", "dist", "bucket",
-                            job.bucket);
-        RunCallBucket(op.call, job.bucket);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(op.mutex);
-        if (op.error == nullptr) op.error = std::current_exception();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(op.mutex);
-      ++op.completed;
-    }
-    op.cv.notify_all();
-  }
-}
-
 void RingCommunicator::EnqueueBucket(const std::shared_ptr<AsyncOp>& op,
                                      std::int64_t bucket) {
-  CommThread& ct = EnsureCommThread(op->call.rank);
+  // Only the rank's own caller thread enqueues, so creating its queue on
+  // first use needs no lock.
+  std::unique_ptr<DispatchQueue>& queue =
+      comm_queues_[static_cast<std::size_t>(op->call.rank)];
+  if (queue == nullptr) queue = std::make_unique<DispatchQueue>();
   {
     std::lock_guard<std::mutex> lock(op->mutex);
     ++op->enqueued;
   }
-  {
-    std::lock_guard<std::mutex> lock(ct.mutex);
-    ct.queue.push_back(BucketJob{op, bucket});
-  }
-  ct.cv.notify_all();
+  queue->Submit([this, op, bucket] {
+    bool skip;
+    {
+      std::lock_guard<std::mutex> lock(op->mutex);
+      // Once a bucket fails (or the handle is abandoned), later buckets of
+      // the same op are skipped: the op is already lost, and skipping
+      // avoids paying a full retry budget per remaining bucket. The queue
+      // is FIFO with one consumer, so which buckets get skipped is
+      // deterministic given the failure point.
+      skip = op->abandoned || op->error != nullptr;
+    }
+    if (!skip) {
+      try {
+        obs::TraceSpan span("dist.allreduce.bucket", "dist", "bucket",
+                            bucket);
+        RunCallBucket(op->call, bucket);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(op->mutex);
+        if (op->error == nullptr) op->error = std::current_exception();
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(op->mutex);
+      ++op->completed;
+    }
+    op->cv.notify_all();
+  });
 }
 
 class RingCommunicator::RingAsyncCollective final : public AsyncCollective {

@@ -58,6 +58,7 @@
 #include "device/sim_accelerator.h"
 #include "dist/fault_injector.h"
 #include "support/error.h"
+#include "support/threadpool.h"
 
 namespace s4tf::dist {
 
@@ -252,10 +253,10 @@ class RingCommunicator final : public Communicator {
 
   CollectiveResult Run(int rank, const CollectiveSpec& spec,
                        std::vector<float>& data) override;
-  // True async implementation: buckets run on a dedicated per-rank comm
-  // thread with a condition-variable-driven job queue (no polling), so
-  // submitted buckets run while the caller keeps computing. Counters,
-  // accelerator charges, and results are identical to the synchronous Run.
+  // True async implementation: buckets run on the rank's own
+  // DispatchQueue worker, so submitted buckets run while the caller keeps
+  // computing. Counters, accelerator charges, and results are identical
+  // to the synchronous Run.
   std::unique_ptr<AsyncCollective> RunAsync(int rank,
                                             const CollectiveSpec& spec,
                                             std::vector<float>& data) override;
@@ -294,10 +295,6 @@ class RingCommunicator final : public Communicator {
   // in the .cpp.
   struct Call;
   struct AsyncOp;
-  struct BucketJob;
-  // Per-rank background communication thread (lazily started) with a
-  // cv-driven FIFO bucket-job queue; defined in the .cpp.
-  struct CommThread;
   class RingAsyncCollective;
 
   // Asynchronous deposit into dst's mailbox (never blocks).
@@ -329,8 +326,8 @@ class RingCommunicator final : public Communicator {
   // bucket runs its one phase over the global shard partition clipped to
   // the bucket's element range.
   void RunCallBucket(const Call& call, std::int64_t bucket);
-  CommThread& EnsureCommThread(int rank);
-  void CommThreadMain(int rank);
+  // Hands bucket `bucket` of `op` to its rank's comm queue, creating the
+  // queue on the rank's first RunAsync.
   void EnqueueBucket(const std::shared_ptr<AsyncOp>& op, std::int64_t bucket);
 
   int world_;
@@ -338,7 +335,8 @@ class RingCommunicator final : public Communicator {
   FaultInjector injector_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<RankState> states_;
-  std::vector<std::unique_ptr<CommThread>> comm_threads_;
+  // One single-consumer FIFO per rank that runs its async bucket jobs.
+  std::vector<std::unique_ptr<DispatchQueue>> comm_queues_;
 };
 
 }  // namespace s4tf::dist

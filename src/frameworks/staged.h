@@ -153,6 +153,7 @@ class StagedTrainStep {
   std::int64_t program_size() const {
     return executable_->module().instruction_count();
   }
+  const xla::Executable& executable() const { return *executable_; }
   const std::vector<Literal>& weights() const { return weights_; }
 
  private:

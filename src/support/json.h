@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -232,7 +233,9 @@ class Parser {
   // JSON's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
   // is checked before strtod converts the span: strtod alone would also
   // take inf, nan, hex and a leading '+'. On failure the offset points at
-  // the first character that breaks the grammar.
+  // the first character that breaks the grammar, or at the start of a
+  // number too large for a double. Underflow keeps strtod's nearest
+  // double (0 or a subnormal).
   bool ParseNumber(JsonValue* out) {
     const std::size_t start = pos_;
     if (text_[pos_] == '-') ++pos_;  // ParseValue saw a character here
@@ -255,8 +258,13 @@ class Parser {
       if (!Digit(pos_)) return Fail("bad number");
       while (Digit(pos_)) ++pos_;
     }
-    out->value =
+    const double value =
         std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    if (std::isinf(value)) {
+      pos_ = start;
+      return Fail("number out of range");
+    }
+    out->value = value;
     return true;
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -42,6 +43,11 @@ obs::Counter& EpilogueFoldedCounter() {
   static obs::Counter* counter = obs::GetCounter("xla.epilogue.folded_ops");
   return *counter;
 }
+
+// Modeled JIT cost: XLA compilations take O(100ms) for real models, so
+// the model scales with program size.
+constexpr double kCompileSecondsFixed = 2e-3;
+constexpr double kCompileSecondsPerInstruction = 50e-6;
 
 // Times one optimization pass: wall-clock into a per-pass histogram
 // (xla.pass.<name>) plus a span when tracing is on. Wall-clock histograms
@@ -242,6 +248,27 @@ std::optional<kernels::EpilogueOp::Map> ClassifyEpilogueOperand(
   return std::nullopt;
 }
 
+// Where each instruction executes: chain members (the anchor and every
+// link) at their chain result's step, every other instruction at its own
+// id, and parameters and constants nowhere (-1: they are bound, not
+// computed). An instruction defines a value iff its site is its own id.
+std::vector<HloId> ExecutionSites(const HloModule& module,
+                                  const std::vector<EpilogueChain>& chains) {
+  std::vector<HloId> site(module.instructions().size());
+  for (const HloInstruction& inst : module.instructions()) {
+    const bool bound = inst.kind == OpKind::kParameter ||
+                       inst.kind == OpKind::kConstant;
+    site[static_cast<std::size_t>(inst.id)] = bound ? -1 : inst.id;
+  }
+  for (const EpilogueChain& chain : chains) {
+    site[static_cast<std::size_t>(chain.anchor)] = chain.result();
+    for (HloId op : chain.ops) {
+      site[static_cast<std::size_t>(op)] = chain.result();
+    }
+  }
+  return site;
+}
+
 }  // namespace
 
 std::vector<EpilogueChain> ComputeEpilogueChains(const HloModule& module) {
@@ -377,27 +404,9 @@ BufferPlan PlanBuffers(const HloModule& module,
   BufferPlan plan;
   plan.release_after.resize(n);
 
-  // Execution site of each value: chain members (anchor + links) all
-  // execute when the chain result's fused kernel dispatches; everything
-  // else at its own position. `defines[i]` = the value instruction i
-  // materializes at its site (-1 for folded members).
-  std::vector<HloId> site(n);
-  std::iota(site.begin(), site.end(), 0);
-  std::vector<bool> folded(n, false);
-  for (const EpilogueChain& chain : chains) {
-    const HloId result = chain.result();
-    site[static_cast<std::size_t>(chain.anchor)] = result;
-    folded[static_cast<std::size_t>(chain.anchor)] = true;
-    for (HloId op : chain.ops) {
-      site[static_cast<std::size_t>(op)] = result;
-      if (op != result) folded[static_cast<std::size_t>(op)] = true;
-    }
-  }
-
+  const std::vector<HloId> site = ExecutionSites(module, chains);
   const auto is_value = [&](HloId id) {
-    const OpKind kind = module.instruction(id).kind;
-    return kind != OpKind::kParameter && kind != OpKind::kConstant &&
-           !folded[static_cast<std::size_t>(id)];
+    return site[static_cast<std::size_t>(id)] == id;
   };
 
   // Last use per value, in execution sites. Initialized to the def site so
@@ -468,64 +477,41 @@ std::vector<Literal> Executable::Run(const std::vector<Literal>& parameters,
   std::vector<Literal> env(module_.instructions().size());
   for (const HloInstruction& inst : module_.instructions()) {
     const auto id = static_cast<std::size_t>(inst.id);
-    switch (inst.kind) {
-      case OpKind::kParameter:
-        env[id] = parameters[static_cast<std::size_t>(inst.parameter_index)];
-        break;
-      case OpKind::kConstant:
-        env[id] = inst.literal;
-        break;
-      default: {
-        if (!skip_.empty() && skip_[id]) break;  // folded into an epilogue
-        if (!plan_index_.empty() && plan_index_[id] >= 0) {
-          // This value is an epilogue chain's result: dispatch the anchor
-          // with the whole chain folded in as ONE kernel.
-          const EpiloguePlan& plan =
-              epilogues_[static_cast<std::size_t>(plan_index_[id])];
-          const HloInstruction& anchor = module_.instruction(plan.anchor);
-          std::vector<const Literal*> inputs;
-          inputs.reserve(anchor.operands.size());
-          for (HloId op : anchor.operands) {
-            inputs.push_back(&env[static_cast<std::size_t>(op)]);
-          }
-          std::vector<kernels::EpilogueOp> epilogue = plan.ops;
-          for (std::size_t i = 0; i < epilogue.size(); ++i) {
-            if (plan.operands[i] < 0) continue;
-            const Literal& operand =
-                env[static_cast<std::size_t>(plan.operands[i])];
-            epilogue[i].operand = operand.data.data();
-            epilogue[i].operand_elements = operand.size();
-          }
-          env[id] = EvalFusedOpLiteral(anchor.kind, inputs, anchor.attrs,
-                                       epilogue);
-          break;
-        }
-        std::vector<const Literal*> inputs;
-        inputs.reserve(inst.operands.size());
-        for (HloId op : inst.operands) {
-          inputs.push_back(&env[static_cast<std::size_t>(op)]);
-        }
-        env[id] = EvalOpLiteral(inst.kind, inputs, inst.attrs);
-        break;
-      }
-    }
-    // Buffer reuse: drop values whose last use just executed, so the host
-    // working set tracks the planner's arena instead of the whole trace.
-    if (!release_after_.empty()) {
-      for (HloId v : release_after_[id]) {
-        env[static_cast<std::size_t>(v)] = Literal();
-      }
+    if (inst.kind == OpKind::kParameter) {
+      env[id] = parameters[static_cast<std::size_t>(inst.parameter_index)];
+    } else if (inst.kind == OpKind::kConstant) {
+      env[id] = inst.literal;
     }
   }
 
-  if (accelerator != nullptr) {
-    for (const FusedKernel& kernel : kernels_) {
-      accelerator->ChargeFusedKernel(kernel.flops, kernel.external_bytes);
+  std::vector<const Literal*> inputs;
+  for (const Step& step : steps_) {
+    const HloInstruction& anchor = module_.instruction(step.anchor);
+    inputs.clear();
+    for (HloId op : anchor.operands) {
+      inputs.push_back(&env[static_cast<std::size_t>(op)]);
     }
-    if (arena_charge_bytes_ > 0) {
-      accelerator->ChargeArena(arena_charge_bytes_);
+    Literal& result = env[static_cast<std::size_t>(step.result)];
+    if (step.ops.empty()) {
+      result = EvalOpLiteral(anchor.kind, inputs, anchor.attrs);
+    } else {
+      // Run is const and may run concurrently, so the operand pointers
+      // are bound into a per-call copy of the chain.
+      std::vector<kernels::EpilogueOp> epilogue = step.ops;
+      for (std::size_t i = 0; i < epilogue.size(); ++i) {
+        if (step.operands[i] < 0) continue;
+        const Literal& operand =
+            env[static_cast<std::size_t>(step.operands[i])];
+        epilogue[i].operand = operand.data.data();
+        epilogue[i].operand_elements = operand.size();
+      }
+      result = EvalFusedOpLiteral(anchor.kind, inputs, anchor.attrs, epilogue);
     }
+    // Buffer reuse: drop values whose last use just executed, so the host
+    // working set tracks the planner's arena instead of the whole trace.
+    for (HloId v : step.release) env[static_cast<std::size_t>(v)] = Literal();
   }
+  if (accelerator != nullptr) ChargeTo(*accelerator);
 
   std::vector<Literal> outputs;
   outputs.reserve(module_.roots().size());
@@ -562,7 +548,11 @@ int RunHloAlgebraicSimplify(HloModule& module) {
         if (inst.attrs.scalar == 1.0f) bypass(inst, inst.operands[0]);
         break;
       case OpKind::kAddScalar:
-        if (inst.attrs.scalar == 0.0f) bypass(inst, inst.operands[0]);
+        // Only -0 is an identity: -0 + (+0) is +0, but x + (-0) is x for
+        // every x.
+        if (inst.attrs.scalar == 0.0f && std::signbit(inst.attrs.scalar)) {
+          bypass(inst, inst.operands[0]);
+        }
         break;
       case OpKind::kPowScalar:
         if (inst.attrs.scalar == 1.0f) bypass(inst, inst.operands[0]);
@@ -630,6 +620,7 @@ CompileResult Compile(HloModule module, const CompileOptions& options) {
     }
   }
 
+  const std::vector<HloId> site = ExecutionSites(module, chains);
   std::vector<int> groups;
   if (options.enable_fusion) {
     PassTimer timer("xla.pass.fusion", pass_histograms.fusion);
@@ -642,16 +633,13 @@ CompileResult Compile(HloModule module, const CompileOptions& options) {
   // Build fused kernels in topological order of their last member.
   // Multi-instruction groups read each distinct external value once (it is
   // staged through the cluster's tiles); a singleton kernel keeps the raw
-  // per-occurrence roofline of the reference kernels, which also keeps
-  // enable_fusion=false executables byte-identical to the pre-epilogue
-  // pipeline.
+  // per-occurrence roofline of the reference kernels, which is every
+  // kernel when enable_fusion is off.
   std::map<int, FusedKernel> by_group;
   std::map<int, std::set<HloId>> group_external_inputs;
   std::map<int, std::int64_t> group_singleton_input_bytes;
   for (const HloInstruction& inst : module.instructions()) {
-    if (inst.kind == OpKind::kParameter || inst.kind == OpKind::kConstant) {
-      continue;  // data movement, no kernel
-    }
+    if (site[static_cast<std::size_t>(inst.id)] < 0) continue;  // no kernel
     const int g = groups[static_cast<std::size_t>(inst.id)];
     FusedKernel& kernel = by_group[g];
     kernel.instructions.push_back(inst.id);
@@ -689,20 +677,10 @@ CompileResult Compile(HloModule module, const CompileOptions& options) {
       }
     }
   }
-  // Epilogue-folded values never materialize; only the chain result can be
-  // a group output.
-  std::vector<bool> folded(module.instructions().size(), false);
-  for (const EpilogueChain& chain : chains) {
-    folded[static_cast<std::size_t>(chain.anchor)] = true;
-    for (HloId op : chain.ops) {
-      if (op != chain.result()) folded[static_cast<std::size_t>(op)] = true;
-    }
-  }
+  // Only values that materialize can be group outputs: epilogue-folded
+  // members never do.
   for (const HloInstruction& inst : module.instructions()) {
-    if (inst.kind == OpKind::kParameter || inst.kind == OpKind::kConstant ||
-        folded[static_cast<std::size_t>(inst.id)]) {
-      continue;
-    }
+    if (site[static_cast<std::size_t>(inst.id)] != inst.id) continue;
     if (used_externally[static_cast<std::size_t>(inst.id)] ||
         is_root[static_cast<std::size_t>(inst.id)]) {
       by_group[groups[static_cast<std::size_t>(inst.id)]].external_bytes +=
@@ -716,34 +694,37 @@ CompileResult Compile(HloModule module, const CompileOptions& options) {
 
   // Liveness / arena planning. With reuse off the arena degenerates to the
   // sum of all intermediates (nothing is released); with fusion off there
-  // is no arena model at all — the legacy executable, byte for byte.
+  // is no arena model at all.
   BufferPlan buffer_plan;
   if (options.enable_fusion) {
     PassTimer timer("xla.pass.buffer_reuse", pass_histograms.buffer_reuse);
     buffer_plan = PlanBuffers(module, chains);
   }
+  const bool release = options.enable_fusion && options.enable_buffer_reuse;
+  const std::int64_t arena_charge_bytes = release
+                                              ? buffer_plan.peak_arena_bytes
+                                              : buffer_plan.unreused_bytes;
+  if (options.enable_fusion) ArenaPeakGauge().Set(arena_charge_bytes);
 
-  CompileResult result;
-  result.compile_seconds =
-      options.compile_seconds_fixed +
-      options.compile_seconds_per_instruction *
-          static_cast<double>(original_size);
-  result.executable =
-      std::make_shared<Executable>(std::move(module), std::move(kernels));
-  Executable& exe = *result.executable;
-
-  // Lower the epilogue chains into the executable's dispatch plan.
-  const std::size_t n = exe.module_.instructions().size();
-  if (!chains.empty()) {
-    exe.plan_index_.assign(n, -1);
-    exe.skip_.assign(n, 0);
-    for (const EpilogueChain& chain : chains) {
-      Executable::EpiloguePlan plan;
-      plan.anchor = chain.anchor;
-      HloId tail = chain.anchor;
-      const Shape& out_shape = exe.module_.instruction(chain.anchor).shape;
-      for (HloId op_id : chain.ops) {
-        const HloInstruction& link = exe.module_.instruction(op_id);
+  // Lower the module into its step list: one step per instruction that
+  // executes at its own site, in id order. A chain result's step runs the
+  // whole chain as one kernel.
+  std::vector<const EpilogueChain*> chain_at(site.size(), nullptr);
+  for (const EpilogueChain& chain : chains) {
+    chain_at[static_cast<std::size_t>(chain.result())] = &chain;
+  }
+  std::vector<Executable::Step> steps;
+  for (const HloInstruction& inst : module.instructions()) {
+    const auto id = static_cast<std::size_t>(inst.id);
+    if (site[id] != inst.id) continue;
+    Executable::Step step;
+    step.anchor = step.result = inst.id;
+    if (const EpilogueChain* chain = chain_at[id]) {
+      step.anchor = chain->anchor;
+      const Shape& out_shape = module.instruction(chain->anchor).shape;
+      HloId tail = chain->anchor;
+      for (HloId link_id : chain->ops) {
+        const HloInstruction& link = module.instruction(link_id);
         kernels::EpilogueOp op;
         op.kind = link.kind;
         op.attrs = link.attrs;
@@ -752,37 +733,25 @@ CompileResult Compile(HloModule module, const CompileOptions& options) {
           op.commuted = link.operands[1] == tail;
           operand = op.commuted ? link.operands[0] : link.operands[1];
           op.map = *ClassifyEpilogueOperand(
-              exe.module_.instruction(operand).shape, out_shape);
+              module.instruction(operand).shape, out_shape);
         }
-        plan.ops.push_back(std::move(op));
-        plan.operands.push_back(operand);
-        tail = op_id;
+        step.ops.push_back(std::move(op));
+        step.operands.push_back(operand);
+        tail = link_id;
       }
-      exe.skip_[static_cast<std::size_t>(chain.anchor)] = 1;
-      for (HloId op_id : chain.ops) {
-        if (op_id != chain.result()) {
-          exe.skip_[static_cast<std::size_t>(op_id)] = 1;
-        }
-      }
-      exe.plan_index_[static_cast<std::size_t>(chain.result())] =
-          static_cast<int>(exe.epilogues_.size());
-      exe.epilogues_.push_back(std::move(plan));
-      exe.epilogue_folded_ops_ +=
-          static_cast<std::int64_t>(chain.ops.size());
     }
+    if (release) step.release = std::move(buffer_plan.release_after[id]);
+    steps.push_back(std::move(step));
   }
 
-  if (options.enable_fusion) {
-    exe.arena_peak_bytes_ = buffer_plan.peak_arena_bytes;
-    exe.arena_unreused_bytes_ = buffer_plan.unreused_bytes;
-    if (options.enable_buffer_reuse) {
-      exe.release_after_ = std::move(buffer_plan.release_after);
-      exe.arena_charge_bytes_ = buffer_plan.peak_arena_bytes;
-    } else {
-      exe.arena_charge_bytes_ = buffer_plan.unreused_bytes;
-    }
-    ArenaPeakGauge().Set(exe.arena_charge_bytes_);
-  }
+  CompileResult result;
+  result.compile_seconds =
+      kCompileSecondsFixed +
+      kCompileSecondsPerInstruction * static_cast<double>(original_size);
+  result.executable = std::make_shared<Executable>(
+      std::move(module), std::move(kernels), std::move(steps),
+      buffer_plan.peak_arena_bytes, buffer_plan.unreused_bytes,
+      arena_charge_bytes);
   return result;
 }
 

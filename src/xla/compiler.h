@@ -29,8 +29,8 @@ struct CompileOptions {
   // Epilogue fusion: elementwise consumer chains (bias-add, ReLU,
   // residual-add, scale...) hanging off a MatMul/Conv2D fold into the
   // producing kernel and execute via the epilogue-aware tiled kernels.
-  // Effective only when enable_fusion is true: enable_fusion=false
-  // reproduces the pre-epilogue pipeline byte-for-byte.
+  // Effective only when enable_fusion is true: with enable_fusion=false
+  // every instruction runs and is priced as its own kernel.
   bool enable_epilogue_fusion = true;
   // Liveness-based buffer reuse: intermediate outputs are assigned into a
   // bounded arena of recycled slots, released at their last use during
@@ -38,10 +38,6 @@ struct CompileOptions {
   // of all intermediates without reuse). Effective only when enable_fusion
   // is true.
   bool enable_buffer_reuse = true;
-  // Modeled JIT cost (XLA compilations take O(100ms) for real models; we
-  // scale with program size).
-  double compile_seconds_per_instruction = 50e-6;
-  double compile_seconds_fixed = 2e-3;
 };
 
 // --- Optimization passes (exposed for unit tests and ablations). Each
@@ -61,7 +57,7 @@ int RunHloCseKeyed(HloModule& module, std::uint64_t (*key)(std::uint64_t));
 }  // namespace internal
 
 // Algebraic simplification: removes provable no-ops —
-//   x * 1, x + 0, x ^ 1 (scalar-attr forms), neg(neg(x)),
+//   x * 1, x + (-0), x ^ 1 (scalar-attr forms), neg(neg(x)),
 //   reshape/broadcast to the operand's own shape,
 //   transpose(transpose(x)) composing to the identity permutation.
 // AD-generated code is full of these (e.g. `grad * 1.0f` seeds), which is
@@ -101,7 +97,8 @@ std::vector<int> ComputeFusionGroups(const HloModule& module,
 
 // Liveness-based buffer-reuse plan: last use per HLO value (with epilogue
 // chain members executing at their chain result's position), release lists
-// for Run(), and a best-fit arena simulation giving the peak footprint.
+// for the executable's steps, and a best-fit arena simulation giving the
+// peak footprint.
 struct BufferPlan {
   // Sum of the arena slot sizes at the end of the program walk = the
   // bounded footprint all intermediates execute in with reuse on.
@@ -110,7 +107,7 @@ struct BufferPlan {
   std::int64_t unreused_bytes = 0;
   std::int64_t arena_slots = 0;
   // release_after[i] = values whose last use is instruction i (never
-  // roots); Run() drops their buffers right after executing i.
+  // roots); it becomes the release list of the step whose result is i.
   std::vector<std::vector<HloId>> release_after;
 };
 BufferPlan PlanBuffers(const HloModule& module,
@@ -124,13 +121,33 @@ struct FusedKernel {
   std::int64_t external_bytes = 0;
 };
 
-struct CompileResult;
-CompileResult Compile(HloModule module, const CompileOptions& options);
-
 class Executable {
  public:
-  Executable(HloModule module, std::vector<FusedKernel> kernels)
-      : module_(std::move(module)), kernels_(std::move(kernels)) {}
+  // One host kernel dispatch, in program order. A plain step evaluates
+  // `anchor` into `result` (the same id). An epilogue step runs its
+  // MatMul/Conv2D anchor with `ops` folded in and defines the chain
+  // result; operands[i] is the HLO id of ops[i]'s external operand (-1
+  // for a unary link), bound to ops[i].operand when the step runs.
+  // `release` holds the values whose last use is this step (never roots);
+  // Run() drops their buffers right after it.
+  struct Step {
+    HloId anchor = -1;
+    HloId result = -1;
+    std::vector<kernels::EpilogueOp> ops;
+    std::vector<HloId> operands;
+    std::vector<HloId> release;
+  };
+
+  Executable(HloModule module, std::vector<FusedKernel> kernels,
+             std::vector<Step> steps, std::int64_t arena_peak_bytes,
+             std::int64_t arena_unreused_bytes,
+             std::int64_t arena_charge_bytes)
+      : module_(std::move(module)),
+        kernels_(std::move(kernels)),
+        steps_(std::move(steps)),
+        arena_peak_bytes_(arena_peak_bytes),
+        arena_unreused_bytes_(arena_unreused_bytes),
+        arena_charge_bytes_(arena_charge_bytes) {}
 
   // Evaluates the program on concrete parameters. If `accelerator` is
   // given, charges one (fused) kernel per FusedKernel plus the arena
@@ -143,6 +160,7 @@ class Executable {
     return static_cast<std::int64_t>(kernels_.size());
   }
   const std::vector<FusedKernel>& kernels() const { return kernels_; }
+  const std::vector<Step>& steps() const { return steps_; }
 
   // Charges one execution's device cost without evaluating the numerics.
   // Used by the table harnesses to simulate paper-scale shapes (batch-128
@@ -163,42 +181,27 @@ class Executable {
   }
 
   // Buffer-plan reporting: the peak arena footprint with reuse, the
-  // unreused sum, and what one execution is actually charged (0 when
-  // enable_fusion was off — the legacy executable had no arena model).
+  // unreused sum, and what one execution is actually charged. All three
+  // are 0 when enable_fusion is off: only fused programs model an arena.
   std::int64_t arena_peak_bytes() const { return arena_peak_bytes_; }
   std::int64_t arena_unreused_bytes() const { return arena_unreused_bytes_; }
   std::int64_t arena_charge_bytes() const { return arena_charge_bytes_; }
   // Number of elementwise ops folded into MatMul/Conv2D epilogues.
-  std::int64_t epilogue_folded_ops() const { return epilogue_folded_ops_; }
+  std::int64_t epilogue_folded_ops() const {
+    std::int64_t folded = 0;
+    for (const Step& step : steps_) {
+      folded += static_cast<std::int64_t>(step.ops.size());
+    }
+    return folded;
+  }
 
  private:
-  friend CompileResult Compile(HloModule module,
-                               const CompileOptions& options);
-
-  // One epilogue chain lowered for execution, stored at the chain result's
-  // instruction id. operands[i] is the HLO id of ops[i]'s external operand
-  // (-1 for unary links), bound to ops[i].operand against the environment
-  // when the fused kernel dispatches.
-  struct EpiloguePlan {
-    HloId anchor = -1;
-    std::vector<kernels::EpilogueOp> ops;
-    std::vector<HloId> operands;
-  };
-
   HloModule module_;
   std::vector<FusedKernel> kernels_;
-  // Epilogue execution plan: plan_index_[id] >= 0 marks a chain result,
-  // skip_[id] marks anchors/intermediates the interpreter must not
-  // evaluate on their own.
-  std::vector<EpiloguePlan> epilogues_;
-  std::vector<int> plan_index_;
-  std::vector<char> skip_;
-  // Buffer plan (empty release lists when reuse is off).
-  std::vector<std::vector<HloId>> release_after_;
+  std::vector<Step> steps_;
   std::int64_t arena_peak_bytes_ = 0;
   std::int64_t arena_unreused_bytes_ = 0;
   std::int64_t arena_charge_bytes_ = 0;
-  std::int64_t epilogue_folded_ops_ = 0;
 };
 
 struct CompileResult {

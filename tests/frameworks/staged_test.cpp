@@ -9,6 +9,7 @@
 #include "nn/models/lenet.h"
 #include "nn/models/resnet.h"
 #include "frameworks/profiles.h"
+#include "obs/metrics.h"
 
 namespace s4tf::frameworks {
 namespace {
@@ -115,6 +116,51 @@ TEST(StageTrainStepTest, BindsEveryModuleParameter) {
             static_cast<std::size_t>(1 + model_weights));
   EXPECT_EQ(step.parameter_count, model_parameters);
   EXPECT_GT(step.trace_ops, 0);
+}
+
+std::int64_t CounterDelta(const obs::MetricsSnapshot& before,
+                          const std::string& name) {
+  return obs::MetricsRegistry::Global().Snapshot().counter(name) -
+         before.counter(name);
+}
+
+// A warm run of the compiled LeNet-5 step dispatches one kernel per
+// instruction, except parameters, constants and the links folded into
+// MatMul/Conv2D epilogues, and one fused dispatch per chain.
+TEST(StagedTrainStepTest, WarmRunDispatchesOneKernelPerUnfoldedInstruction) {
+  Rng rng(12);
+  StagedTrainStep staged(nn::LeNet(rng), Shape({4, 28, 28, 1}), 10, 0.05f);
+  const xla::HloModule& module = staged.executable().module();
+  std::int64_t constants = 0;
+  for (const xla::HloInstruction& inst : module.instructions()) {
+    if (inst.kind == OpKind::kConstant) ++constants;
+  }
+  const std::vector<xla::EpilogueChain> chains =
+      xla::ComputeEpilogueChains(module);
+  std::int64_t folded_links = 0;
+  for (const xla::EpilogueChain& chain : chains) {
+    folded_links += static_cast<std::int64_t>(chain.ops.size());
+  }
+
+  const auto batch =
+      nn::SyntheticImageDataset::Mnist(16, 5).Batch(0, 4, NaiveDevice());
+  const Literal images = batch.images.ToLiteral();
+  const Literal one_hot = batch.one_hot.ToLiteral();
+  staged.Run(images, one_hot);  // warm
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
+  staged.Run(images, one_hot);
+  EXPECT_EQ(CounterDelta(before, "tensor.kernel.dispatches"),
+            module.instruction_count() - module.num_parameters() - constants -
+                folded_links);
+  EXPECT_EQ(CounterDelta(before, "tensor.kernel.dispatch.fused_epilogue"),
+            static_cast<std::int64_t>(chains.size()));
+  // The program as staged today: 106 instructions, 17 parameters, no
+  // constants, and 10 chains folding 13 links.
+  EXPECT_EQ(module.instruction_count(), 106);
+  EXPECT_EQ(module.num_parameters(), 17);
+  EXPECT_EQ(chains.size(), 10u);
+  EXPECT_EQ(folded_links, 13);
 }
 
 TEST(StagedTrainStepTest, CompilesExactlyOnce) {

@@ -7,9 +7,9 @@
 // not, and the gradient tape must agree everywhere.
 //
 // These tests generate random tensor programs (a device-independent op
-// plan drawn from a seeded PRNG), execute them on every backend, and
-// compare results — hundreds of distinct programs across the parameterized
-// sweep.
+// plan from random_plan.h, drawn from a seeded PRNG), execute them on
+// every backend, and compare results — hundreds of distinct programs
+// across the parameterized sweep.
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -17,114 +17,10 @@
 #include "eager/eager_backend.h"
 #include "lazy/lazy_tensor.h"
 #include "tensor/ops.h"
+#include "tests/integration/random_plan.h"
 
 namespace s4tf {
 namespace {
-
-// A device-independent plan: input literals plus a sequence of op
-// applications referring to earlier values by index.
-struct PlanStep {
-  OpKind kind;
-  OpAttrs attrs;
-  std::vector<int> operands;  // indices into the value list
-};
-
-struct Plan {
-  std::vector<Literal> inputs;
-  std::vector<PlanStep> steps;
-};
-
-// Shapes used by the generator, grouped so binary ops can pick compatible
-// operands. Positive-domain hazards (log, sqrt of negatives) are excluded
-// from the op pool.
-Plan GeneratePlan(std::uint64_t seed, int num_steps) {
-  Rng rng(seed);
-  Plan plan;
-  const Shape shapes[] = {Shape({}), Shape({4}), Shape({2, 3}),
-                          Shape({3, 4})};
-  // Track the shape of each value (inputs + step results).
-  std::vector<Shape> value_shapes;
-
-  const auto add_input = [&](const Shape& shape) {
-    std::vector<float> values(static_cast<std::size_t>(shape.NumElements()));
-    rng.FillUniform(values.data(), values.size(), -1.0f, 1.0f);
-    plan.inputs.push_back(Literal::FromVector(shape, std::move(values)));
-    value_shapes.push_back(shape);
-  };
-  for (const Shape& shape : shapes) add_input(shape);
-  add_input(Shape({2, 3}));  // a second [2,3] so binaries have pairs
-  add_input(Shape({4}));
-
-  const auto pick_value = [&]() {
-    return static_cast<int>(rng.NextBelow(value_shapes.size()));
-  };
-  const auto pick_with_shape = [&](const Shape& shape) -> int {
-    // Uniform over candidates; falls back to -1 when none.
-    std::vector<int> candidates;
-    for (std::size_t i = 0; i < value_shapes.size(); ++i) {
-      if (value_shapes[i] == shape) candidates.push_back(static_cast<int>(i));
-    }
-    if (candidates.empty()) return -1;
-    return candidates[rng.NextBelow(candidates.size())];
-  };
-
-  const OpKind unary_pool[] = {OpKind::kNeg,     OpKind::kTanh,
-                               OpKind::kRelu,    OpKind::kSigmoid,
-                               OpKind::kAbs,     OpKind::kSquare,
-                               OpKind::kSoftmax, OpKind::kLogSoftmax};
-  const OpKind binary_pool[] = {OpKind::kAdd, OpKind::kSub, OpKind::kMul,
-                                OpKind::kMaximum, OpKind::kMinimum};
-
-  for (int s = 0; s < num_steps; ++s) {
-    PlanStep step;
-    const std::uint64_t category = rng.NextBelow(10);
-    if (category < 3) {  // unary
-      step.kind = unary_pool[rng.NextBelow(std::size(unary_pool))];
-      step.operands = {pick_value()};
-      if ((step.kind == OpKind::kSoftmax ||
-           step.kind == OpKind::kLogSoftmax) &&
-          value_shapes[static_cast<std::size_t>(step.operands[0])].rank() ==
-              0) {
-        step.kind = OpKind::kTanh;  // softmax needs rank >= 1
-      }
-    } else if (category < 6) {  // binary with equal shapes or vs scalar
-      step.kind = binary_pool[rng.NextBelow(std::size(binary_pool))];
-      const int a = pick_value();
-      const int b = rng.NextBelow(2) == 0
-                        ? pick_with_shape(
-                              value_shapes[static_cast<std::size_t>(a)])
-                        : pick_with_shape(Shape({}));
-      step.operands = {a, b < 0 ? a : b};
-    } else if (category < 8) {  // scalar-attribute op
-      step.kind = rng.NextBelow(2) == 0 ? OpKind::kMulScalar
-                                        : OpKind::kAddScalar;
-      step.attrs.scalar = static_cast<float>(rng.Uniform(-1.5, 1.5));
-      step.operands = {pick_value()};
-    } else if (category == 8) {  // matmul [2,3] x [3,4]
-      const int a = pick_with_shape(Shape({2, 3}));
-      const int b = pick_with_shape(Shape({3, 4}));
-      if (a < 0 || b < 0) {
-        step.kind = OpKind::kTanh;
-        step.operands = {pick_value()};
-      } else {
-        step.kind = OpKind::kMatMul;
-        step.operands = {a, b};
-      }
-    } else {  // reduction
-      step.kind = rng.NextBelow(2) == 0 ? OpKind::kReduceSum
-                                        : OpKind::kReduceMean;
-      step.operands = {pick_value()};
-    }
-    // Infer and record the result shape.
-    std::vector<Shape> operand_shapes;
-    for (int op : step.operands) {
-      operand_shapes.push_back(value_shapes[static_cast<std::size_t>(op)]);
-    }
-    value_shapes.push_back(InferShape(step.kind, operand_shapes, step.attrs));
-    plan.steps.push_back(std::move(step));
-  }
-  return plan;
-}
 
 // Executes the plan on `device`, reducing every produced value into one
 // scalar "program checksum" (tanh-compressed so magnitudes stay finite).

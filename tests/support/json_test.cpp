@@ -69,6 +69,29 @@ TEST(JsonTest, JsonNumbersParseToTheSameDoubleAsStrtod) {
   }
 }
 
+// strtod returns +-HUGE_VAL on overflow; a JSON number is a finite double.
+TEST(JsonTest, NumbersBeyondTheDoubleRangeFailWithTheirOffset) {
+  JsonValue value;
+  std::string error;
+  ASSERT_TRUE(ParseJson("[1.7976931348623157e308]", &value, &error)) << error;
+  EXPECT_EQ(value.array().at(0).number(), 1.7976931348623157e308);
+  // The offset is where the number starts.
+  for (const auto& [text, offset] :
+       {std::pair{"[1.8e308]", 1}, std::pair{"[-1e999]", 1},
+        std::pair{"[0, 1E400]", 4}}) {
+    EXPECT_FALSE(ParseJson(text, &value, &error)) << text;
+    EXPECT_NE(error.find("number out of range at offset " +
+                         std::to_string(offset)),
+              std::string::npos)
+        << text << ": " << error;
+  }
+  // Underflow is not an error: it rounds to the nearest double.
+  ASSERT_TRUE(ParseJson("[1e-400, 4.9e-324]", &value, &error)) << error;
+  EXPECT_EQ(value.array().at(0).number(), 0.0);
+  EXPECT_EQ(value.array().at(1).number(), std::strtod("4.9e-324", nullptr));
+  EXPECT_GT(value.array().at(1).number(), 0.0);
+}
+
 TEST(JsonTest, UnicodeEscapeNeedsFourHexDigits) {
   JsonValue value;
   std::string error;

@@ -24,6 +24,7 @@
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tests/ad/gradient_check.h"
+#include "tests/integration/random_plan.h"
 
 namespace s4tf::xla {
 namespace {
@@ -724,6 +725,112 @@ TEST(EpilogueGradientTest, ConvBiasReluOnLazyBackend) {
         return ReduceSum(Relu(Conv2D(t, filter) + bias));
       },
       x);
+}
+
+// --- Random HLO programs vs. the interpreter. -------------------------------
+
+// One HLO module per plan: a parameter per input and an instruction per
+// step, so a plan value's index is its HloId. The roots are the values no
+// later step reads, so MatMul chains are single-use and fold, and the
+// other values die at their last use.
+HloModule ModuleFromPlan(const Plan& plan) {
+  HloModule module("random_hlo");
+  for (std::size_t i = 0; i < plan.inputs.size(); ++i) {
+    module.AddParameter(plan.inputs[i].shape, static_cast<int>(i));
+  }
+  std::vector<bool> read(plan.inputs.size() + plan.steps.size(), false);
+  for (const PlanStep& step : plan.steps) {
+    for (int op : step.operands) read[static_cast<std::size_t>(op)] = true;
+    module.AddInstruction(step.kind,
+                          std::vector<HloId>(step.operands.begin(),
+                                             step.operands.end()),
+                          step.attrs);
+  }
+  for (std::size_t v = plan.inputs.size(); v < read.size(); ++v) {
+    if (!read[v]) module.AddRoot(static_cast<HloId>(v));
+  }
+  return module;
+}
+
+// The uncompiled module's instructions evaluated in id order.
+std::vector<Literal> InterpretRoots(const HloModule& module,
+                                    const std::vector<Literal>& parameters) {
+  std::vector<Literal> env;
+  for (const HloInstruction& inst : module.instructions()) {
+    if (inst.kind == OpKind::kParameter) {
+      env.push_back(
+          parameters[static_cast<std::size_t>(inst.parameter_index)]);
+      continue;
+    }
+    std::vector<const Literal*> inputs;
+    for (HloId op : inst.operands) {
+      inputs.push_back(&env[static_cast<std::size_t>(op)]);
+    }
+    env.push_back(EvalOpLiteral(inst.kind, inputs, inst.attrs));
+  }
+  std::vector<Literal> roots;
+  for (HloId root : module.roots()) {
+    roots.push_back(env[static_cast<std::size_t>(root)]);
+  }
+  return roots;
+}
+
+// Same bits, except that any NaN matches any NaN.
+bool SameBitsOrBothNaN(const Literal& a, const Literal& b) {
+  if (a.shape != b.shape) return false;
+  for (std::int64_t i = 0; i < a.size(); ++i) {
+    const float x = a.data[static_cast<std::size_t>(i)];
+    const float y = b.data[static_cast<std::size_t>(i)];
+    if (std::memcmp(&x, &y, sizeof(float)) != 0 &&
+        !(std::isnan(x) && std::isnan(y))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Compiled with and without fusion, at 1, 2 and 4 intra-op threads, every
+// root of every random program equals the interpreter's, bit for bit. The
+// sweep must also fold links of each operand map and release values, so a
+// step list that releases a value early or drops a link cannot pass.
+TEST(RandomHloTest, CompiledProgramsMatchTheInterpreterBitwise) {
+  std::int64_t folded_by_map[4] = {0, 0, 0, 0};
+  std::int64_t released = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    const Plan plan = GeneratePlan(seed, /*num_steps=*/30);
+    const HloModule module = ModuleFromPlan(plan);
+    const std::vector<Literal> expected = InterpretRoots(module, plan.inputs);
+    const auto fused = Compile(module).executable;
+    const auto unfused = Compile(module, Unfused()).executable;
+    for (const Executable::Step& step : fused->steps()) {
+      for (const kernels::EpilogueOp& op : step.ops) {
+        ++folded_by_map[static_cast<std::size_t>(op.map)];
+      }
+      released += static_cast<std::int64_t>(step.release.size());
+    }
+    for (int threads : {1, 2, 4}) {
+      SetIntraOpParallelism(threads);
+      for (const auto& [name, exe] : {std::pair{"fused", fused.get()},
+                                      std::pair{"unfused", unfused.get()}}) {
+        const std::vector<Literal> got = exe->Run(plan.inputs);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t r = 0; r < got.size(); ++r) {
+          EXPECT_TRUE(SameBitsOrBothNaN(got[r], expected[r]))
+              << "seed " << seed << ", " << name << ", threads " << threads
+              << ": root " << r << " (id " << module.roots()[r] << ", "
+              << OpName(module.instruction(module.roots()[r]).kind)
+              << ") differs";
+        }
+      }
+    }
+  }
+  SetIntraOpParallelism(0);
+  using Map = kernels::EpilogueOp::Map;
+  for (const Map map : {Map::kNone, Map::kScalar, Map::kLastDim, Map::kFull}) {
+    EXPECT_GT(folded_by_map[static_cast<std::size_t>(map)], 0)
+        << "no link with map " << static_cast<int>(map) << " folded";
+  }
+  EXPECT_GT(released, 0);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "lazy/lazy_tensor.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "xla/compiler.h"
 
@@ -14,12 +16,36 @@ TEST(AlgebraicSimplifyTest, RemovesScalarIdentities) {
   const HloId a = m.AddInstruction(OpKind::kMulScalar, {p},
                                    OpAttrs{.scalar = 1.0f});
   const HloId b = m.AddInstruction(OpKind::kAddScalar, {a},
-                                   OpAttrs{.scalar = 0.0f});
+                                   OpAttrs{.scalar = -0.0f});
   const HloId c = m.AddInstruction(OpKind::kPowScalar, {b},
                                    OpAttrs{.scalar = 1.0f});
   m.AddRoot(m.AddInstruction(OpKind::kRelu, {c}));
   EXPECT_EQ(RunHloAlgebraicSimplify(m), 3);
   EXPECT_EQ(m.instruction_count(), 2);  // param + relu
+}
+
+// -0 + (+0) is +0, so adding +0 is not an identity; adding -0 is. Both
+// compiled programs must return EvalOpLiteral's bits, sign of zero
+// included.
+TEST(AlgebraicSimplifyTest, AddScalarKeepsTheSignOfZero) {
+  const Literal input = Literal::FromVector(Shape({3}), {-0.0f, 0.0f, 1.0f});
+  for (const float scalar : {0.0f, -0.0f}) {
+    HloModule m;
+    const HloId p = m.AddParameter(Shape({3}), 0);
+    m.AddRoot(m.AddInstruction(OpKind::kAddScalar, {p},
+                               OpAttrs{.scalar = scalar}));
+    const Literal expected =
+        EvalOpLiteral(OpKind::kAddScalar, {&input}, OpAttrs{.scalar = scalar});
+    const Literal out = Compile(m).executable->Run({input})[0];
+    ASSERT_EQ(out.shape, expected.shape);
+    EXPECT_EQ(std::memcmp(out.data.data(), expected.data.data(),
+                          3 * sizeof(float)),
+              0)
+        << "scalar " << (std::signbit(scalar) ? "-0" : "+0") << ": got "
+        << (std::signbit(out.data[0]) ? "-0" : "+0") << " for -0";
+    HloModule copy = m;
+    EXPECT_EQ(RunHloAlgebraicSimplify(copy), std::signbit(scalar) ? 1 : 0);
+  }
 }
 
 TEST(AlgebraicSimplifyTest, LeavesRealWorkAlone) {
