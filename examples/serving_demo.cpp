@@ -76,15 +76,14 @@ int main() {
     const serve::Server::Stats stats = server.stats();
     int bad = 0;
     for (int m : mismatches) bad += m;
-    std::printf("threaded: %lld requests -> %lld responses in %lld "
-                "batches; %d output mismatches\n",
+    // Only facts that do not depend on scheduling: how the requests
+    // coalesce into batches (and so the cache hits) varies run to run.
+    std::printf("threaded: %lld requests -> %lld responses; %d output "
+                "mismatches\n",
                 static_cast<long long>(stats.submitted),
-                static_cast<long long>(stats.responses),
-                static_cast<long long>(stats.batches), bad);
-    std::printf("steady-state compiles after warmup: %lld (executable "
-                "cache hits: %lld)\n\n",
-                static_cast<long long>(servable.compiles() - 4),
-                static_cast<long long>(servable.executable_hits()));
+                static_cast<long long>(stats.responses), bad);
+    std::printf("steady-state compiles after warmup: %lld\n\n",
+                static_cast<long long>(servable.compiles() - 4));
   }
 
   // --- 2. Deterministic overload: seeded burst at 3x capacity. ---

@@ -71,7 +71,10 @@ LabeledBatch SyntheticImageDataset::Batch(int batch_index, int batch_size,
                                           const Device& device) const {
   const std::size_t pixels =
       static_cast<std::size_t>(image_shape_.NumElements());
-  std::vector<float> images(static_cast<std::size_t>(batch_size) * pixels);
+  std::vector<std::int64_t> dims = {batch_size};
+  for (std::int64_t d : image_shape_.dims()) dims.push_back(d);
+  Literal images = Literal::ForOverwrite(Shape(std::move(dims)));
+  float* image_data = images.data.mutable_data();
   std::vector<int> labels(static_cast<std::size_t>(batch_size));
   for (int i = 0; i < batch_size; ++i) {
     const int example =
@@ -83,17 +86,14 @@ LabeledBatch SyntheticImageDataset::Batch(int batch_index, int batch_size,
         static_cast<std::uint64_t>(num_classes_)));
     labels[static_cast<std::size_t>(i)] = label;
     const auto& proto = prototypes_[static_cast<std::size_t>(label)];
-    float* out = images.data() + static_cast<std::size_t>(i) * pixels;
+    float* out = image_data + static_cast<std::size_t>(i) * pixels;
     for (std::size_t p = 0; p < pixels; ++p) {
       out[p] = proto[p] +
                noise_ * static_cast<float>(rng.NextGaussian());
     }
   }
-  std::vector<std::int64_t> dims = {batch_size};
-  for (std::int64_t d : image_shape_.dims()) dims.push_back(d);
   LabeledBatch batch;
-  batch.images =
-      Tensor::FromVector(Shape(std::move(dims)), std::move(images), device);
+  batch.images = Tensor::FromLiteral(std::move(images), device);
   batch.one_hot = OneHot(labels, num_classes_, device);
   batch.labels = std::move(labels);
   return batch;

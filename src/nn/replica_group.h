@@ -21,6 +21,7 @@
 // replica/thread-count/bucket-size combination (tested in tests/dist/).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -131,10 +132,10 @@ void UnflattenTangentSlots(
     S4TF_CHECK_LE(offset + n, flat.size())
         << "reduced gradient buffer shorter than the model";
     if (s >= begin_slot && s < end_slot) {
-      std::vector<float> values(
-          flat.begin() + static_cast<std::ptrdiff_t>(offset),
-          flat.begin() + static_cast<std::ptrdiff_t>(offset + n));
-      grad = Tensor::FromVector(param.shape(), std::move(values), device);
+      Literal values = Literal::ForOverwrite(param.shape());
+      std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(offset), n,
+                  values.data.mutable_data());
+      grad = Tensor::FromLiteral(std::move(values), device);
     }
     offset += n;
   });
@@ -164,10 +165,10 @@ void WriteParams(M& model, const std::vector<float>& flat,
     const std::size_t n = static_cast<std::size_t>(param.NumElements());
     S4TF_CHECK_LE(offset + n, flat.size())
         << "parameter buffer shorter than the model";
-    std::vector<float> values(
-        flat.begin() + static_cast<std::ptrdiff_t>(offset),
-        flat.begin() + static_cast<std::ptrdiff_t>(offset + n));
-    param = Tensor::FromVector(param.shape(), std::move(values), device);
+    Literal values = Literal::ForOverwrite(param.shape());
+    std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(offset), n,
+                values.data.mutable_data());
+    param = Tensor::FromLiteral(std::move(values), device);
     offset += n;
   });
   S4TF_CHECK_EQ(offset, flat.size())

@@ -1,5 +1,6 @@
 #include "serve/batch.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/error.h"
@@ -26,21 +27,21 @@ Shape BatchShape(const Shape& sample_shape, int batch) {
 Literal AssembleBatch(const std::vector<const Literal*>& samples,
                       const Shape& sample_shape, int padded_batch) {
   S4TF_CHECK_GE(padded_batch, static_cast<int>(samples.size()));
-  const std::int64_t row = sample_shape.NumElements();
-  std::vector<float> data(
-      static_cast<std::size_t>(row) * static_cast<std::size_t>(padded_batch),
-      0.0f);
+  const auto row = static_cast<std::size_t>(sample_shape.NumElements());
+  Literal batch =
+      Literal::ForOverwrite(BatchShape(sample_shape, padded_batch));
+  float* data = batch.data.mutable_data();
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Literal& sample = *samples[i];
     S4TF_CHECK(sample.shape == sample_shape)
         << "request sample shape " << sample.shape.ToString()
         << " != servable sample shape " << sample_shape.ToString();
-    std::memcpy(data.data() + static_cast<std::size_t>(row) * i,
-                sample.data.data(),
-                static_cast<std::size_t>(row) * sizeof(float));
+    std::memcpy(data + row * i, sample.data.data(), row * sizeof(float));
   }
-  return Literal::FromVector(BatchShape(sample_shape, padded_batch),
-                             std::move(data));
+  // Padding rows are zeros.
+  std::fill(data + row * samples.size(),
+            data + row * static_cast<std::size_t>(padded_batch), 0.0f);
+  return batch;
 }
 
 Literal SliceSample(const Literal& batch, int index) {
@@ -51,13 +52,12 @@ Literal SliceSample(const Literal& batch, int index) {
   std::vector<std::int64_t> dims(batch.shape.dims().begin() + 1,
                                  batch.shape.dims().end());
   const Shape row_shape{std::vector<std::int64_t>(dims)};
-  const std::int64_t row = row_shape.NumElements();
-  std::vector<float> data(static_cast<std::size_t>(row));
-  std::memcpy(data.data(),
-              batch.data.data() + static_cast<std::size_t>(row) *
-                                      static_cast<std::size_t>(index),
-              static_cast<std::size_t>(row) * sizeof(float));
-  return Literal::FromVector(row_shape, std::move(data));
+  const auto row = static_cast<std::size_t>(row_shape.NumElements());
+  Literal sample = Literal::ForOverwrite(row_shape);
+  std::memcpy(sample.data.mutable_data(),
+              batch.data.data() + row * static_cast<std::size_t>(index),
+              row * sizeof(float));
+  return sample;
 }
 
 }  // namespace s4tf::serve

@@ -288,7 +288,7 @@ auto VisitBinaryOp(OpKind kind, Visit&& visit) {
 template <typename Fn>
 Literal BinaryBroadcast(const Literal& a, const Literal& b, Fn fn) {
   const Shape out = BroadcastShapes(a.shape, b.shape);
-  Literal result = Literal::Zeros(out);
+  Literal result = Literal::ForOverwrite(out);
   float* r = result.data.mutable_data();
   const float* pa = a.data.data();
   const float* pb = b.data.data();
@@ -314,7 +314,7 @@ Literal BinaryBroadcast(const Literal& a, const Literal& b, Fn fn) {
 
 template <typename Fn>
 Literal UnaryElementwise(const Literal& a, Fn fn) {
-  Literal result = Literal::Zeros(a.shape);
+  Literal result = Literal::ForOverwrite(a.shape);
   float* r = result.data.mutable_data();
   const float* p = a.data.data();
   ParallelForRange(a.size(), GrainFor(1),
@@ -395,7 +395,7 @@ Literal Reduce(const Literal& in, const OpAttrs& attrs, OpKind kind) {
 
 Literal ArgMax(const Literal& in, const OpAttrs& attrs) {
   const Shape out_shape = InferShape(OpKind::kArgMax, {in.shape}, attrs);
-  Literal result = Literal::Zeros(out_shape);
+  Literal result = Literal::ForOverwrite(out_shape);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
 
@@ -429,7 +429,7 @@ Literal ArgMax(const Literal& in, const OpAttrs& attrs) {
 
 Literal SoftmaxLike(const Literal& in, bool log_space) {
   S4TF_CHECK_GE(in.shape.rank(), 1) << "softmax needs rank >= 1";
-  Literal result = Literal::Zeros(in.shape);
+  Literal result = Literal::ForOverwrite(in.shape);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
   const std::int64_t cols = in.shape.dim(in.shape.rank() - 1);
@@ -463,7 +463,7 @@ Literal SoftmaxLike(const Literal& in, bool log_space) {
 
 Literal Transpose(const Literal& in, const OpAttrs& attrs) {
   const Shape out_shape = InferShape(OpKind::kTranspose, {in.shape}, attrs);
-  Literal result = Literal::Zeros(out_shape);
+  Literal result = Literal::ForOverwrite(out_shape);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
   const auto in_strides = in.shape.Strides();
@@ -478,7 +478,7 @@ Literal Transpose(const Literal& in, const OpAttrs& attrs) {
 }
 
 Literal BroadcastTo(const Literal& in, const Shape& out) {
-  Literal result = Literal::Zeros(out);
+  Literal result = Literal::ForOverwrite(out);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
   ForEachBroadcast<1>(out, {BroadcastStrides(in.shape, out)},
@@ -488,7 +488,7 @@ Literal BroadcastTo(const Literal& in, const Shape& out) {
 
 Literal SliceOp(const Literal& in, const OpAttrs& attrs) {
   const Shape out_shape = InferShape(OpKind::kSlice, {in.shape}, attrs);
-  Literal result = Literal::Zeros(out_shape);
+  Literal result = Literal::ForOverwrite(out_shape);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
   const std::array<std::vector<std::int64_t>, 1> in_strides = {
@@ -530,7 +530,7 @@ Literal ConcatOp(const std::vector<const Literal*>& inputs,
   shapes.reserve(inputs.size());
   for (const auto* in : inputs) shapes.push_back(in->shape);
   const Shape out_shape = InferShape(OpKind::kConcat, shapes, attrs);
-  Literal result = Literal::Zeros(out_shape);
+  Literal result = Literal::ForOverwrite(out_shape);
   float* r = result.data.mutable_data();
 
   const int axis = static_cast<int>(attrs.axis);
@@ -595,7 +595,7 @@ void ForEachWindowTap(const PoolGeometry& g, const OpAttrs& attrs,
 Literal Pool2D(const Literal& in, const OpAttrs& attrs, bool is_max) {
   const OpKind kind = is_max ? OpKind::kMaxPool2D : OpKind::kAvgPool2D;
   const Shape out_shape = InferShape(kind, {in.shape}, attrs);
-  Literal result = Literal::Zeros(out_shape);
+  Literal result = Literal::ForOverwrite(out_shape);
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
   const PoolGeometry g = MakePoolGeometry(in.shape, out_shape, attrs);
@@ -1346,7 +1346,7 @@ Literal AnchorKernel(OpKind kind, const std::vector<const Literal*>& inputs,
                      const std::vector<kernels::EpilogueOp>& epilogue) {
   const Shape out =
       InferShape(kind, {inputs[0]->shape, inputs[1]->shape}, attrs);
-  Literal result = Literal::Zeros(out);
+  Literal result = Literal::ForOverwrite(out);
   if (kind == OpKind::kMatMul) {
     kernels::MatMul(inputs[0]->data.data(), inputs[1]->data.data(),
                     result.data.mutable_data(), inputs[0]->shape.dim(0),
@@ -1404,7 +1404,7 @@ Literal EvalOpLiteralImpl(OpKind kind,
       const Shape out = InferShape(kind, {inputs[0]->shape, inputs[1]->shape,
                                           inputs[2]->shape},
                                    attrs);
-      Literal result = Literal::Zeros(out);
+      Literal result = Literal::ForOverwrite(out);
       float* r = result.data.mutable_data();
       const float* pc = inputs[0]->data.data();
       const float* pa = inputs[1]->data.data();
@@ -1462,7 +1462,7 @@ Literal EvalOpLiteralImpl(OpKind kind,
 
     case OpKind::kConv2DBackpropInput: {
       const Shape in_shape(attrs.shape);
-      Literal result = Literal::Zeros(in_shape);
+      Literal result = Literal::ForOverwrite(in_shape);
       kernels::Conv2DBackpropInput(
           inputs[0]->data.data(), inputs[0]->shape, inputs[1]->data.data(),
           inputs[1]->shape, result.data.mutable_data(), in_shape,
@@ -1472,7 +1472,7 @@ Literal EvalOpLiteralImpl(OpKind kind,
 
     case OpKind::kConv2DBackpropFilter: {
       const Shape filter_shape(attrs.shape);
-      Literal result = Literal::Zeros(filter_shape);
+      Literal result = Literal::ForOverwrite(filter_shape);
       kernels::Conv2DBackpropFilter(
           inputs[0]->data.data(), inputs[0]->shape, inputs[1]->data.data(),
           inputs[1]->shape, result.data.mutable_data(), filter_shape,

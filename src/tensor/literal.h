@@ -30,19 +30,30 @@ struct Literal {
                               static_cast<std::size_t>(shape.NumElements()),
                               0.0f));
   }
+  // For a producer that writes every element before any is read: the
+  // buffer is not zero-filled, and may be a recycled one holding an
+  // earlier value's bytes.
+  static Literal ForOverwrite(const Shape& shape);
   static Literal Full(const Shape& shape, float value) {
     return Literal(shape, vs::CowArray<float>(
                               static_cast<std::size_t>(shape.NumElements()),
                               value));
   }
-  static Literal FromVector(const Shape& shape, std::vector<float> values) {
+  static Literal FromVector(const Shape& shape,
+                            const std::vector<float>& values) {
     S4TF_CHECK_EQ(static_cast<std::int64_t>(values.size()),
                   shape.NumElements());
-    return Literal(shape, vs::CowArray<float>(std::move(values)));
+    return Literal(shape, vs::CowArray<float>(values));
   }
   static Literal Scalar(float value) {
     return Literal(Shape({}), vs::CowArray<float>(1, value));
   }
+
+  // Test seam: while on, ForOverwrite fills every buffer with a NaN whose
+  // payload IsOverwritePoison recognizes (through a sign change too), so
+  // an element a kernel fails to write shows up in its result.
+  static void SetOverwritePoisonForTesting(bool on);
+  static bool IsOverwritePoison(float value);
 
   std::int64_t size() const { return shape.NumElements(); }
   const float* begin() const { return data.data(); }

@@ -12,7 +12,10 @@
 // Reference counting uses std::shared_ptr's control block, mirroring
 // Swift's built-in refcounting. Instrumentation (vs::CowStats,
 // MemoryMeter) records buffer allocations / deep copies so tests can
-// assert the copy behaviour rather than trust it.
+// assert the copy behaviour rather than trust it. The element storage
+// comes from vs::BufferRecycler, which hands a freed buffer back to the
+// next request of the same size; the counters still count every buffer a
+// CowArray creates, recycled or not.
 #pragma once
 
 #include <algorithm>
@@ -20,10 +23,12 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "support/error.h"
 #include "support/memory_meter.h"
+#include "vs/buffer_recycler.h"
 #include "vs/cow_stats.h"
 
 namespace s4tf::vs {
@@ -43,9 +48,16 @@ class CowArray {
     NoteAllocation(init.size());
   }
 
-  explicit CowArray(std::vector<T> values)
-      : buffer_(std::make_shared<Buffer>(std::move(values))) {
-    NoteAllocation(buffer_->data.size());
+  // Copies: the storage is recycled, a std::vector's is not.
+  explicit CowArray(const std::vector<T>& values)
+      : buffer_(std::make_shared<Buffer>(values.begin(), values.end())) {
+    NoteAllocation(values.size());
+  }
+
+  // `count` elements left default-initialized (indeterminate for trivial
+  // T), for a producer that writes every element before anyone reads one.
+  static CowArray ForOverwrite(std::size_t count) {
+    return CowArray(std::make_shared<Buffer>(count));
   }
 
   // Copying shares the buffer: O(1), no element copies.
@@ -99,7 +111,9 @@ class CowArray {
     return buffer_ == other.buffer_;
   }
 
-  std::vector<T> ToVector() const { return buffer_->data; }
+  std::vector<T> ToVector() const {
+    return std::vector<T>(buffer_->data.begin(), buffer_->data.end());
+  }
 
   friend bool operator==(const CowArray& a, const CowArray& b) {
     return a.buffer_ == b.buffer_ || a.buffer_->data == b.buffer_->data;
@@ -107,15 +121,19 @@ class CowArray {
 
  private:
   struct Buffer {
-    std::vector<T> data;
-    Buffer(std::size_t count, const T& value) : data(count, value) {}
-    explicit Buffer(std::initializer_list<T> init) : data(init) {}
-    explicit Buffer(std::vector<T> values) : data(std::move(values)) {}
+    std::vector<T, RecyclingAllocator<T>> data;
+    template <typename... Args>
+    explicit Buffer(Args&&... args) : data(std::forward<Args>(args)...) {}
     ~Buffer() {
       MemoryMeter::Global().Free(
           static_cast<std::int64_t>(data.capacity() * sizeof(T)));
     }
   };
+
+  explicit CowArray(std::shared_ptr<Buffer> buffer)
+      : buffer_(std::move(buffer)) {
+    NoteAllocation(buffer_->data.size());
+  }
 
   static void NoteAllocation(std::size_t count) {
     CowStats::Global().buffer_allocations.fetch_add(1,
@@ -127,8 +145,7 @@ class CowArray {
   static std::shared_ptr<Buffer> EmptyBuffer() {
     // All default-constructed arrays share one immutable empty buffer;
     // EnsureUnique() replaces it on first mutation.
-    static const std::shared_ptr<Buffer> empty =
-        std::make_shared<Buffer>(std::vector<T>{});
+    static const std::shared_ptr<Buffer> empty = std::make_shared<Buffer>();
     return empty;
   }
 

@@ -474,7 +474,11 @@ std::vector<Literal> Executable::Run(const std::vector<Literal>& parameters,
                 module_.num_parameters())
       << "parameter count mismatch for " << module_.name();
 
-  std::vector<Literal> env(module_.instructions().size());
+  // An unbound or released slot holds no buffer, and reading one throws.
+  std::vector<std::optional<Literal>> env(module_.instructions().size());
+  const auto value = [&env](HloId id) -> const Literal& {
+    return env[static_cast<std::size_t>(id)].value();
+  };
   for (const HloInstruction& inst : module_.instructions()) {
     const auto id = static_cast<std::size_t>(inst.id);
     if (inst.kind == OpKind::kParameter) {
@@ -488,10 +492,9 @@ std::vector<Literal> Executable::Run(const std::vector<Literal>& parameters,
   for (const Step& step : steps_) {
     const HloInstruction& anchor = module_.instruction(step.anchor);
     inputs.clear();
-    for (HloId op : anchor.operands) {
-      inputs.push_back(&env[static_cast<std::size_t>(op)]);
-    }
-    Literal& result = env[static_cast<std::size_t>(step.result)];
+    for (HloId op : anchor.operands) inputs.push_back(&value(op));
+    std::optional<Literal>& result =
+        env[static_cast<std::size_t>(step.result)];
     if (step.ops.empty()) {
       result = EvalOpLiteral(anchor.kind, inputs, anchor.attrs);
     } else {
@@ -500,8 +503,7 @@ std::vector<Literal> Executable::Run(const std::vector<Literal>& parameters,
       std::vector<kernels::EpilogueOp> epilogue = step.ops;
       for (std::size_t i = 0; i < epilogue.size(); ++i) {
         if (step.operands[i] < 0) continue;
-        const Literal& operand =
-            env[static_cast<std::size_t>(step.operands[i])];
+        const Literal& operand = value(step.operands[i]);
         epilogue[i].operand = operand.data.data();
         epilogue[i].operand_elements = operand.size();
       }
@@ -509,15 +511,13 @@ std::vector<Literal> Executable::Run(const std::vector<Literal>& parameters,
     }
     // Buffer reuse: drop values whose last use just executed, so the host
     // working set tracks the planner's arena instead of the whole trace.
-    for (HloId v : step.release) env[static_cast<std::size_t>(v)] = Literal();
+    for (HloId v : step.release) env[static_cast<std::size_t>(v)].reset();
   }
   if (accelerator != nullptr) ChargeTo(*accelerator);
 
   std::vector<Literal> outputs;
   outputs.reserve(module_.roots().size());
-  for (HloId root : module_.roots()) {
-    outputs.push_back(env[static_cast<std::size_t>(root)]);
-  }
+  for (HloId root : module_.roots()) outputs.push_back(value(root));
   return outputs;
 }
 

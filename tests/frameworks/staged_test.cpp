@@ -10,6 +10,7 @@
 #include "nn/models/resnet.h"
 #include "frameworks/profiles.h"
 #include "obs/metrics.h"
+#include "vs/cow_stats.h"
 
 namespace s4tf::frameworks {
 namespace {
@@ -126,14 +127,17 @@ std::int64_t CounterDelta(const obs::MetricsSnapshot& before,
 
 // A warm run of the compiled LeNet-5 step dispatches one kernel per
 // instruction, except parameters, constants and the links folded into
-// MatMul/Conv2D epilogues, and one fused dispatch per chain.
+// MatMul/Conv2D epilogues, and one fused dispatch per chain. Every buffer
+// it creates is a kernel result (a reshape shares its operand's): an
+// unbound or released value slot holds none.
 TEST(StagedTrainStepTest, WarmRunDispatchesOneKernelPerUnfoldedInstruction) {
   Rng rng(12);
   StagedTrainStep staged(nn::LeNet(rng), Shape({4, 28, 28, 1}), 10, 0.05f);
   const xla::HloModule& module = staged.executable().module();
-  std::int64_t constants = 0;
+  std::int64_t constants = 0, reshapes = 0;
   for (const xla::HloInstruction& inst : module.instructions()) {
     if (inst.kind == OpKind::kConstant) ++constants;
+    if (inst.kind == OpKind::kReshape) ++reshapes;
   }
   const std::vector<xla::EpilogueChain> chains =
       xla::ComputeEpilogueChains(module);
@@ -149,18 +153,25 @@ TEST(StagedTrainStepTest, WarmRunDispatchesOneKernelPerUnfoldedInstruction) {
   staged.Run(images, one_hot);  // warm
   const obs::MetricsSnapshot before =
       obs::MetricsRegistry::Global().Snapshot();
+  const vs::CowStatsScope cow;
   staged.Run(images, one_hot);
   EXPECT_EQ(CounterDelta(before, "tensor.kernel.dispatches"),
             module.instruction_count() - module.num_parameters() - constants -
                 folded_links);
   EXPECT_EQ(CounterDelta(before, "tensor.kernel.dispatch.fused_epilogue"),
             static_cast<std::int64_t>(chains.size()));
+  const std::int64_t allocations = cow.delta().buffer_allocations;
+  EXPECT_EQ(allocations,
+            CounterDelta(before, "tensor.kernel.dispatches") - reshapes);
   // The program as staged today: 106 instructions, 17 parameters, no
-  // constants, and 10 chains folding 13 links.
+  // constants, 10 chains folding 13 links, and 9 reshapes, so 76 dispatches
+  // create 67 buffers.
   EXPECT_EQ(module.instruction_count(), 106);
   EXPECT_EQ(module.num_parameters(), 17);
   EXPECT_EQ(chains.size(), 10u);
   EXPECT_EQ(folded_links, 13);
+  EXPECT_EQ(reshapes, 9);
+  EXPECT_EQ(allocations, 67);
 }
 
 TEST(StagedTrainStepTest, CompilesExactlyOnce) {

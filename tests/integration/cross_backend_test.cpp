@@ -18,6 +18,7 @@
 #include "lazy/lazy_tensor.h"
 #include "tensor/ops.h"
 #include "tests/integration/random_plan.h"
+#include "tests/tensor/overwrite_poison.h"
 
 namespace s4tf {
 namespace {
@@ -43,7 +44,11 @@ Tensor ExecutePlan(const Plan& plan, const Device& device) {
   return checksum;
 }
 
-class CrossBackendTest : public ::testing::TestWithParam<std::uint64_t> {};
+// Every kernel result starts as the overwrite poison, a NaN: an element a
+// kernel leaves unwritten turns the checksum into NaN.
+class CrossBackendTest : public ::testing::TestWithParam<std::uint64_t> {
+  OverwritePoisonScope poison_;
+};
 
 TEST_P(CrossBackendTest, AllBackendsComputeIdenticalResults) {
   const Plan plan = GeneratePlan(GetParam(), /*num_steps=*/40);

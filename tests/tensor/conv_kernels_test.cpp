@@ -14,9 +14,12 @@
 // that are not a multiple of 4 pixels and channel counts that are not a
 // multiple of 8. Inputs are post-ReLU (zeros of both signs), dense, or hold
 // NaN, +-Inf and +-0; filters are dense or hold the same special values.
-// Each case runs at 1 and 4 intra-op threads. Non-NaN outputs must match
-// the reference bit for bit, including the sign of zero; a NaN output must
-// be NaN, but its sign and payload are not compared.
+// Each case runs at 1 and 4 intra-op threads, on the raw kernels and
+// through EvalOpLiteral. Non-NaN outputs must match the reference bit for
+// bit, including the sign of zero; a NaN output must be NaN, but its sign
+// and payload are not compared. Every output element must be written: the
+// raw kernels' outputs start as kPoison, and the fixture turns on the
+// overwrite poison for EvalOpLiteral's results.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,11 +34,16 @@
 #include "support/rng.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
+#include "tests/tensor/overwrite_poison.h"
 
 namespace s4tf {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 4};
+
+class ConvKernelsTest : public ::testing::Test {
+  OverwritePoisonScope poison_;
+};
 
 struct Geometry {
   std::int64_t batch, in_h, in_w, in_c;
@@ -232,8 +240,10 @@ void ExpectMatches(const std::vector<float>& want,
                    const std::vector<float>& got, const std::string& what) {
   ASSERT_EQ(want.size(), got.size()) << what;
   for (std::size_t i = 0; i < want.size(); ++i) {
-    const bool ok = std::isnan(want[i]) ? std::isnan(got[i])
-                                        : Bits(want[i]) == Bits(got[i]);
+    const bool ok =
+        !Literal::IsOverwritePoison(got[i]) &&
+        (std::isnan(want[i]) ? std::isnan(got[i])
+                             : Bits(want[i]) == Bits(got[i]));
     if (!ok) {
       ADD_FAILURE() << what << ": element " << i << " is " << got[i]
                     << " (bits " << std::hex << Bits(got[i])
@@ -270,6 +280,9 @@ void CheckCase(const Geometry& g, Values in_kind, Values f_kind,
       ReferenceBackpropInput(g, grad_out, filter);
   const std::vector<float> want_gf =
       ReferenceBackpropFilter(g, input, grad_out);
+  const Literal in_lit = Literal::FromVector(InShape(g), input);
+  const Literal filter_lit = Literal::FromVector(FilterShape(g), filter);
+  const Literal grad_lit = Literal::FromVector(OutShape(g), grad_out);
 
   for (int threads : kThreadCounts) {
     SetIntraOpParallelism(threads);
@@ -290,6 +303,24 @@ void CheckCase(const Geometry& g, Values in_kind, Values f_kind,
                                   OutShape(g), gf.data(), FilterShape(g),
                                   g.stride, g.stride, g.padding);
     ExpectMatches(want_gf, gf, "Conv2DBackpropFilter " + name.str() + at);
+
+    OpAttrs attrs;
+    attrs.stride_h = attrs.stride_w = g.stride;
+    attrs.padding = g.padding;
+    const auto eval = [&](OpKind kind, const std::vector<Literal>& operands) {
+      return EvalOpLiteral(kind, operands, attrs).data.ToVector();
+    };
+    const std::string literal = " through EvalOpLiteral";
+    ExpectMatches(want_out, eval(OpKind::kConv2D, {in_lit, filter_lit}),
+                  "Conv2D " + name.str() + at + literal);
+    attrs.shape = InShape(g).dims();
+    ExpectMatches(want_gi,
+                  eval(OpKind::kConv2DBackpropInput, {grad_lit, filter_lit}),
+                  "Conv2DBackpropInput " + name.str() + at + literal);
+    attrs.shape = FilterShape(g).dims();
+    ExpectMatches(want_gf,
+                  eval(OpKind::kConv2DBackpropFilter, {in_lit, grad_lit}),
+                  "Conv2DBackpropFilter " + name.str() + at + literal);
   }
   SetIntraOpParallelism(0);
 }
@@ -300,7 +331,7 @@ void CheckCase(const Geometry& g, Values in_kind, Values f_kind,
 // so both filter kinds meet every channel count, filter size, stride and
 // padding. The image width rotates through 5, 9 and 13 columns (none a
 // multiple of 4 output pixels at stride 1) the same way.
-TEST(ConvKernelsTest, MatchReferenceBitForBit) {
+TEST_F(ConvKernelsTest, MatchReferenceBitForBit) {
   const std::int64_t kChannels[] = {1, 3, 6, 16, 64};
   const std::int64_t kFilters[] = {1, 3, 5};
   const std::int64_t kStrides[] = {1, 2};
@@ -337,7 +368,7 @@ TEST(ConvKernelsTest, MatchReferenceBitForBit) {
 
 // Wider images, so the row shards, the pixel blocks and the k-blocks of
 // the filter gradient all have several edges, at LeNet and ResNet shapes.
-TEST(ConvKernelsTest, NetworkShapesMatchReference) {
+TEST_F(ConvKernelsTest, NetworkShapesMatchReference) {
   struct Case {
     std::int64_t batch, in_hw, in_c, f, out_c, stride;
     Padding padding;
@@ -363,7 +394,7 @@ TEST(ConvKernelsTest, NetworkShapesMatchReference) {
 // Each conv call opens exactly one parallel region when its sharded
 // dimension is non-empty (the region counter is an artifact counter), and
 // zero-size dims produce empty or zero-filled outputs.
-TEST(ConvKernelsTest, OneRegionPerCallIncludingZeroSizeDims) {
+TEST_F(ConvKernelsTest, OneRegionPerCallIncludingZeroSizeDims) {
   obs::Counter* regions = obs::GetCounter("support.parallel_for.regions");
   SetIntraOpParallelism(4);
   struct Case {

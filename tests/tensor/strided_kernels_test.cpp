@@ -8,7 +8,9 @@
 // that at 4 threads the shard edges of the parallel kernels cut runs. Every
 // case runs at 1 and at 4 intra-op threads. Non-NaN outputs must match the
 // reference bit for bit, including the sign of zero; a NaN output must be
-// NaN, but its sign and payload are not compared.
+// NaN, but its sign and payload are not compared. The fixture turns on the
+// overwrite poison, and no output element may keep it: every element of a
+// result is written.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include "support/rng.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
+#include "tests/tensor/overwrite_poison.h"
 
 namespace s4tf {
 namespace {
@@ -43,6 +46,10 @@ const std::vector<Shape>& TestShapes() {
 bool IsLarge(const Shape& shape) { return shape.NumElements() > 1000; }
 
 constexpr int kThreadCounts[] = {1, 4};
+
+class StridedKernelsTest : public ::testing::Test {
+  OverwritePoisonScope poison_;
+};
 
 // Finite values in [-2, 2), with one element in eight drawn from NaN, +-Inf,
 // -0 and subnormals when `specials` is set.
@@ -80,14 +87,17 @@ std::uint32_t Bits(float x) {
   return b;
 }
 
-// Non-NaN outputs as bit patterns; NaN wherever the reference is NaN.
+// Non-NaN outputs as bit patterns; NaN wherever the reference is NaN, but
+// never the overwrite poison.
 void ExpectMatches(const std::vector<float>& want, const Literal& got,
                    const std::string& what) {
   const std::vector<float> g = got.data.ToVector();
   ASSERT_EQ(want.size(), g.size()) << what;
   for (std::size_t i = 0; i < want.size(); ++i) {
-    const bool ok = std::isnan(want[i]) ? std::isnan(g[i])
-                                        : Bits(want[i]) == Bits(g[i]);
+    const bool ok =
+        !Literal::IsOverwritePoison(g[i]) &&
+        (std::isnan(want[i]) ? std::isnan(g[i])
+                             : Bits(want[i]) == Bits(g[i]));
     if (!ok) {
       ADD_FAILURE() << what << ": element " << i << " is " << g[i]
                     << " (bits " << std::hex << Bits(g[i]) << "), reference "
@@ -160,7 +170,7 @@ std::vector<float> ReferenceBroadcast(const std::vector<Literal>& inputs,
   return want;
 }
 
-TEST(StridedKernelsTest, BinaryBroadcastMatchesReference) {
+TEST_F(StridedKernelsTest, BinaryBroadcastMatchesReference) {
   const auto sub = [](const std::array<float, 3>& x) { return x[0] - x[1]; };
   const auto greater = [](const std::array<float, 3>& x) {
     return x[0] > x[1] ? 1.0f : 0.0f;
@@ -198,7 +208,7 @@ Literal Condition(const Shape& shape) {
   return Literal::FromVector(shape, std::move(v));
 }
 
-TEST(StridedKernelsTest, SelectMatchesReference) {
+TEST_F(StridedKernelsTest, SelectMatchesReference) {
   const auto select = [](const std::array<float, 3>& x) {
     return x[0] != 0.0f ? x[1] : x[2];
   };
@@ -218,7 +228,7 @@ TEST(StridedKernelsTest, SelectMatchesReference) {
   }
 }
 
-TEST(StridedKernelsTest, BroadcastToMatchesReference) {
+TEST_F(StridedKernelsTest, BroadcastToMatchesReference) {
   const auto identity = [](const std::array<float, 3>& x) { return x[0]; };
   for (const Shape& out : TestShapes()) {
     for (const Shape& s : BroadcastOperands(out)) {
@@ -233,7 +243,7 @@ TEST(StridedKernelsTest, BroadcastToMatchesReference) {
   }
 }
 
-TEST(StridedKernelsTest, ReduceMatchesReference) {
+TEST_F(StridedKernelsTest, ReduceMatchesReference) {
   for (const Shape& in_shape : TestShapes()) {
     const int rank = in_shape.rank();
     for (OpKind kind :
@@ -287,7 +297,7 @@ TEST(StridedKernelsTest, ReduceMatchesReference) {
   }
 }
 
-TEST(StridedKernelsTest, TransposeMatchesReference) {
+TEST_F(StridedKernelsTest, TransposeMatchesReference) {
   for (const Shape& in_shape : TestShapes()) {
     const Literal in = Values(in_shape, 8, true);
     const Dims in_strides = in_shape.Strides();
@@ -331,7 +341,7 @@ std::vector<Window> WindowsOf(std::int64_t dim) {
   return windows;
 }
 
-TEST(StridedKernelsTest, SliceMatchesReference) {
+TEST_F(StridedKernelsTest, SliceMatchesReference) {
   for (const Shape& in_shape : TestShapes()) {
     const Literal in = Values(in_shape, 9, true);
     const Dims in_strides = in_shape.Strides();
@@ -370,7 +380,7 @@ TEST(StridedKernelsTest, SliceMatchesReference) {
   }
 }
 
-TEST(StridedKernelsTest, PadMatchesReference) {
+TEST_F(StridedKernelsTest, PadMatchesReference) {
   const std::vector<std::pair<std::int64_t, std::int64_t>> pad_choices = {
       {0, 0}, {1, 2}, {0, 3}};
   for (const Shape& in_shape : TestShapes()) {
