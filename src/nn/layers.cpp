@@ -66,13 +66,14 @@ Tensor Dropout::operator()(const Tensor& input) const {
   // Deterministic mask derived from the context seed; regenerating per
   // call keeps the layer a pure value (no hidden state).
   Rng rng(Context::Local().dropout_seed++);
-  std::vector<float> mask(static_cast<std::size_t>(input.NumElements()));
+  Literal mask = Literal::ForOverwrite(input.shape());
+  float* m = mask.data.mutable_data();
   const float keep = 1.0f - rate;
-  for (auto& m : mask) {
-    m = rng.NextFloat() < keep ? 1.0f / keep : 0.0f;
+  for (std::int64_t i = 0; i < mask.size(); ++i) {
+    m[i] = rng.NextFloat() < keep ? 1.0f / keep : 0.0f;
   }
   const Tensor mask_tensor =
-      Tensor::FromVector(input.shape(), std::move(mask), input.device());
+      Tensor::FromLiteral(std::move(mask), input.device());
   return input * mask_tensor;
 }
 

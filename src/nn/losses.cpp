@@ -27,14 +27,15 @@ float Accuracy(const Tensor& logits, const std::vector<int>& labels) {
 Tensor OneHot(const std::vector<int>& labels, int classes,
               const Device& device) {
   const std::int64_t n = static_cast<std::int64_t>(labels.size());
-  std::vector<float> data(static_cast<std::size_t>(n * classes), 0.0f);
+  Literal one_hot = Literal::Zeros(Shape({n, classes}));
+  float* data = one_hot.data.mutable_data();
   for (std::int64_t i = 0; i < n; ++i) {
     const int label = labels[static_cast<std::size_t>(i)];
     S4TF_CHECK_GE(label, 0);
     S4TF_CHECK_LT(label, classes);
-    data[static_cast<std::size_t>(i * classes + label)] = 1.0f;
+    data[i * classes + label] = 1.0f;
   }
-  return Tensor::FromVector(Shape({n, classes}), std::move(data), device);
+  return Tensor::FromLiteral(std::move(one_hot), device);
 }
 
 }  // namespace s4tf::nn

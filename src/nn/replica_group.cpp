@@ -227,8 +227,9 @@ ReplicaGroup::ReplicaGroup(int replicas, ReplicaGroupOptions options)
     }
   }
   if (!options_.sequential && replicas_ > 1) {
-    // One worker per replica (plus the participating caller), so every
-    // concurrently-blocking collective call holds its own thread.
+    // One thread per replica: replicas_ - 1 pool workers plus the calling
+    // thread, which runs one replica itself. Every concurrently-blocking
+    // collective call holds its own thread.
     pool_ = std::make_unique<ThreadPool>(replicas_);
   }
   replica_seconds_.assign(static_cast<std::size_t>(replicas_), 0.0);

@@ -134,22 +134,22 @@ Literal SplineServable::RunBatch(const Literal& batch) {
   const int rows = static_cast<int>(batch.shape.dim(0));
   const std::size_t k = static_cast<std::size_t>(num_knots_);
   const std::int64_t out_cols = signal_ == SplineSignal::kLoss ? 1 : num_knots_;
-  std::vector<float> out(static_cast<std::size_t>(rows) *
-                         static_cast<std::size_t>(out_cols));
+  Literal out_literal = Literal::ForOverwrite(Shape({rows, out_cols}));
+  float* out = out_literal.data.mutable_data();
   std::vector<float> control(k);
   for (int row = 0; row < rows; ++row) {
     const float* src = batch.data.data() + static_cast<std::size_t>(row) * k;
     control.assign(src, src + k);
     if (signal_ == SplineSignal::kLoss) {
-      out[static_cast<std::size_t>(row)] = runtime_->Loss(control);
+      out[row] = runtime_->Loss(control);
     } else {
       const std::vector<float> grad = runtime_->Gradient(control);
       S4TF_CHECK_EQ(grad.size(), k);
       std::copy(grad.begin(), grad.end(),
-                out.begin() + static_cast<std::size_t>(row) * k);
+                out + static_cast<std::size_t>(row) * k);
     }
   }
-  return Literal::FromVector(Shape({rows, out_cols}), std::move(out));
+  return out_literal;
 }
 
 double SplineServable::CostSeconds(int padded_batch) {

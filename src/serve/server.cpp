@@ -57,8 +57,10 @@ Server::Server(Servable& servable, BatchingOptions options)
   S4TF_CHECK_GE(options_.max_queue, 1);
   const int workers = std::max(1, options_.num_workers);
   // The coordinator hosts the blocking ParallelFor; each of its `workers`
-  // bodies is one long-running batch worker loop (the coordinator itself
-  // claims one, so a 1-worker server batches on the coordinator thread).
+  // bodies is one long-running batch worker loop. The pool's size counts
+  // the coordinator, which runs one body itself beside the pool's
+  // workers - 1 threads, so every body has its own thread (a 1-worker
+  // server batches on the coordinator thread and starts no pool thread).
   coordinator_ = std::thread([this, workers] {
     pool_.ParallelFor(workers, [this](std::int64_t) { WorkerLoop(); });
   });

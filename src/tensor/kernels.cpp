@@ -433,6 +433,7 @@ Literal SoftmaxLike(const Literal& in, bool log_space) {
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
   const std::int64_t cols = in.shape.dim(in.shape.rank() - 1);
+  if (cols == 0) return result;  // no element to normalize
   const std::int64_t rows = in.size() / cols;
   // Each row is one output slice: the max/sum reductions stay within a
   // single shard, so the split is over rows only.
@@ -575,22 +576,29 @@ PoolGeometry MakePoolGeometry(const Shape& in, const Shape& out,
   return g;
 }
 
-// The one pooling window walk: calls tap(input_index) for every in-bounds
-// tap of output pixel (b, oh, ow) in channel c, in (kh, kw) order.
-template <typename Tap>
-void ForEachWindowTap(const PoolGeometry& g, const OpAttrs& attrs,
+// The one pooling window walk: calls run(offset) for every in-bounds tap of
+// output pixel (b, oh, ow), in (kh, kw) order. `offset` is the flat index of
+// the tap's channel 0, and its channels follow contiguously (NHWC), so each
+// kernel below handles a whole channel run per tap. Every output element
+// still sees its taps in (kh, kw) order, as a per-channel walk would.
+template <typename Run>
+void ForEachWindowRun(const PoolGeometry& g, const OpAttrs& attrs,
                       std::int64_t b, std::int64_t oh, std::int64_t ow,
-                      std::int64_t c, Tap&& tap) {
+                      Run&& run) {
   for (std::int64_t kh = 0; kh < attrs.window_h; ++kh) {
     const std::int64_t ih = oh * attrs.stride_h + kh - g.pad_h;
     if (ih < 0 || ih >= g.in_h) continue;
     for (std::int64_t kw = 0; kw < attrs.window_w; ++kw) {
       const std::int64_t iw = ow * attrs.stride_w + kw - g.pad_w;
       if (iw < 0 || iw >= g.in_w) continue;
-      tap(((b * g.in_h + ih) * g.in_w + iw) * g.channels + c);
+      run(((b * g.in_h + ih) * g.in_w + iw) * g.channels);
     }
   }
 }
+
+// The pooling gradients keep one value per channel across a window walk on
+// the stack, so they walk the channels in chunks of this many.
+constexpr std::int64_t kPoolChannelChunk = 64;
 
 Literal Pool2D(const Literal& in, const OpAttrs& attrs, bool is_max) {
   const OpKind kind = is_max ? OpKind::kMaxPool2D : OpKind::kAvgPool2D;
@@ -599,6 +607,7 @@ Literal Pool2D(const Literal& in, const OpAttrs& attrs, bool is_max) {
   float* r = result.data.mutable_data();
   const float* p = in.data.data();
   const PoolGeometry g = MakePoolGeometry(in.shape, out_shape, attrs);
+  const std::int64_t channels = g.channels;
 
   // Disjoint output rows: shard over (batch, out_h).
   const std::int64_t pool_row_cost =
@@ -609,16 +618,25 @@ Literal Pool2D(const Literal& in, const OpAttrs& attrs, bool is_max) {
       const std::int64_t b = row / g.out_h;
       const std::int64_t oh = row % g.out_h;
       for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-          float acc = is_max ? -std::numeric_limits<float>::infinity() : 0.0f;
-          std::int64_t count = 0;
-          ForEachWindowTap(g, attrs, b, oh, ow, c, [&](std::int64_t i) {
-            acc = is_max ? std::max(acc, p[i]) : acc + p[i];
-            ++count;
-          });
-          const std::int64_t out_idx =
-              ((b * g.out_h + oh) * g.out_w + ow) * g.channels + c;
-          r[out_idx] = is_max ? acc : acc / static_cast<float>(count);
+        // Each channel folds its taps in place in the output pixel.
+        float* y = r + ((b * g.out_h + oh) * g.out_w + ow) * channels;
+        std::fill(y, y + channels,
+                  is_max ? -std::numeric_limits<float>::infinity() : 0.0f);
+        std::int64_t count = 0;
+        ForEachWindowRun(g, attrs, b, oh, ow, [&](std::int64_t offset) {
+          const float* x = p + offset;
+          if (is_max) {
+            for (std::int64_t c = 0; c < channels; ++c) {
+              y[c] = std::max(y[c], x[c]);
+            }
+          } else {
+            for (std::int64_t c = 0; c < channels; ++c) y[c] = y[c] + x[c];
+          }
+          ++count;
+        });
+        if (!is_max) {
+          const float taps = static_cast<float>(count);
+          for (std::int64_t c = 0; c < channels; ++c) y[c] = y[c] / taps;
         }
       }
     }
@@ -638,16 +656,21 @@ Literal AvgPool2DGrad(const Literal& grad_out, const OpAttrs& attrs) {
   for (std::int64_t b = b_begin; b < b_end; ++b) {
     for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
       for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-          // Count valid taps (matches forward's divisor).
-          std::int64_t count = 0;
-          ForEachWindowTap(g, attrs, b, oh, ow, c,
-                           [&](std::int64_t) { ++count; });
-          const float share =
-              g_out[((b * g.out_h + oh) * g.out_w + ow) * g.channels + c] /
-              static_cast<float>(count);
-          ForEachWindowTap(g, attrs, b, oh, ow, c,
-                           [&](std::int64_t i) { r[i] += share; });
+        // Count valid taps (matches forward's divisor).
+        std::int64_t count = 0;
+        ForEachWindowRun(g, attrs, b, oh, ow, [&](std::int64_t) { ++count; });
+        const float taps = static_cast<float>(count);
+        const float* gy =
+            g_out + ((b * g.out_h + oh) * g.out_w + ow) * g.channels;
+        for (std::int64_t c0 = 0; c0 < g.channels; c0 += kPoolChannelChunk) {
+          const std::int64_t len =
+              std::min(kPoolChannelChunk, g.channels - c0);
+          float share[kPoolChannelChunk];
+          for (std::int64_t c = 0; c < len; ++c) share[c] = gy[c0 + c] / taps;
+          ForEachWindowRun(g, attrs, b, oh, ow, [&](std::int64_t offset) {
+            float* dx = r + offset + c0;
+            for (std::int64_t c = 0; c < len; ++c) dx[c] += share[c];
+          });
         }
       }
     }
@@ -668,20 +691,28 @@ Literal MaxPool2DGrad(const Literal& input, const Literal& grad_out,
   for (std::int64_t b = b_begin; b < b_end; ++b) {
     for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
       for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-          // Route the gradient to the window's (first) argmax, recomputed
-          // from the forward input.
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = -1;
-          ForEachWindowTap(g, attrs, b, oh, ow, c, [&](std::int64_t i) {
-            if (p[i] > best) {
-              best = p[i];
-              best_idx = i;
+        const float* gy =
+            g_out + ((b * g.out_h + oh) * g.out_w + ow) * g.channels;
+        for (std::int64_t c0 = 0; c0 < g.channels; c0 += kPoolChannelChunk) {
+          const std::int64_t len =
+              std::min(kPoolChannelChunk, g.channels - c0);
+          // Route each channel's gradient to its window's (first) argmax,
+          // recomputed from the forward input.
+          float best[kPoolChannelChunk];
+          std::int64_t best_at[kPoolChannelChunk];
+          std::fill(best, best + len, -std::numeric_limits<float>::infinity());
+          std::fill(best_at, best_at + len, std::int64_t{-1});
+          ForEachWindowRun(g, attrs, b, oh, ow, [&](std::int64_t offset) {
+            const float* x = p + offset + c0;
+            for (std::int64_t c = 0; c < len; ++c) {
+              if (x[c] > best[c]) {
+                best[c] = x[c];
+                best_at[c] = offset;
+              }
             }
           });
-          if (best_idx >= 0) {
-            r[best_idx] +=
-                g_out[((b * g.out_h + oh) * g.out_w + ow) * g.channels + c];
+          for (std::int64_t c = 0; c < len; ++c) {
+            if (best_at[c] >= 0) r[best_at[c] + c0 + c] += gy[c0 + c];
           }
         }
       }

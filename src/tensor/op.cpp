@@ -313,6 +313,9 @@ Shape InferShape(OpKind kind, const std::vector<Shape>& inputs,
       const int axis = static_cast<int>(attrs.axis);
       S4TF_CHECK_GE(axis, 0);
       S4TF_CHECK_LT(axis, inputs[0].rank());
+      // An empty axis has no largest element, so no index to return.
+      S4TF_CHECK_GT(inputs[0].dim(axis), 0)
+          << "arg_max of " << inputs[0] << " over empty axis " << axis;
       return ReduceShape(inputs[0], {attrs.axis}, /*keep_dims=*/false);
     }
 

@@ -1,8 +1,13 @@
 #include "support/threadpool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "support/sim_clock.h"
@@ -221,6 +226,134 @@ TEST(GlobalPoolTest, FreeParallelForRangeCoversRange) {
   });
   EXPECT_EQ(calls, 1);
   SetIntraOpThreads(0);
+}
+
+// Several threads open regions on one pool at once, as serving workers and
+// replica threads do. Every region must cover its range exactly once and
+// return: a lost wake-up or a region that never leaves the open list
+// hangs here.
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRange) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kRegions = 500;
+  constexpr std::int64_t kN = 256;
+  std::vector<int> bad(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&pool, &bad, t] {
+      std::vector<int> hits(kN);
+      for (int r = 0; r < kRegions; ++r) {
+        std::fill(hits.begin(), hits.end(), 0);
+        pool.ParallelForRange(kN, 1 + (r + t) % 64,
+                              [&](std::int64_t begin, std::int64_t end) {
+                                for (std::int64_t i = begin; i < end; ++i) {
+                                  ++hits[static_cast<std::size_t>(i)];
+                                }
+                              });
+        for (int h : hits) bad[static_cast<std::size_t>(t)] += h != 1;
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(t)], 0) << "caller " << t;
+  }
+}
+
+// SetIntraOpThreads swaps the global pool while other threads run regions
+// on it: a region that started on the old pool finishes there, and every
+// region covers its range exactly once.
+TEST(GlobalPoolTest, ResizingDuringRegionsKeepsEveryRegionWhole) {
+  constexpr int kRegions = 300;
+  constexpr std::int64_t kN = 1000;
+  std::atomic<int> running{2};
+  std::vector<int> bad(2, 0);
+  std::vector<std::thread> runners;
+  for (int t = 0; t < 2; ++t) {
+    runners.emplace_back([&, t] {
+      std::vector<int> hits(kN);
+      for (int r = 0; r < kRegions; ++r) {
+        std::fill(hits.begin(), hits.end(), 0);
+        ParallelForRange(kN, 16, [&](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            ++hits[static_cast<std::size_t>(i)];
+          }
+        });
+        for (int h : hits) bad[static_cast<std::size_t>(t)] += h != 1;
+      }
+      --running;
+    });
+  }
+  const int kSizes[] = {1, 2, 4, 0};
+  for (int i = 0; running.load() > 0; ++i) {
+    SetIntraOpThreads(kSizes[i % 4]);
+    std::this_thread::yield();
+  }
+  for (auto& r : runners) r.join();
+  SetIntraOpThreads(0);
+  EXPECT_EQ(bad[0], 0);
+  EXPECT_EQ(bad[1], 0);
+}
+
+// A pool of n threads runs a region on at most n threads, one of which is
+// the caller.
+TEST(ThreadPoolTest, RegionRunsOnAtMostNumThreadsIncludingTheCaller) {
+  ThreadPool pool(4);
+  constexpr std::int64_t kBlocks = 64;
+  std::vector<std::thread::id> ran_on(kBlocks);
+  pool.ParallelForRange(kBlocks, 1, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+      // Long enough that the helpers get to claim blocks.
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+  });
+  const std::set<std::thread::id> threads(ran_on.begin(), ran_on.end());
+  EXPECT_LE(threads.size(), static_cast<std::size_t>(pool.num_threads()));
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
+}
+
+// A body throws on one block while helpers are inside the region. The
+// caller gets that exception only after every helper has left (a helper
+// still touching the caller's stack would show up under TSAN or ASan), and
+// the next region on the same pool still covers its range.
+TEST(ThreadPoolTest, ThrowWhileHelpersAreInsideReachesTheCaller) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> started{0};
+    std::vector<int> hits(16, 0);
+    try {
+      pool.ParallelForRange(16, 1, [&](std::int64_t begin, std::int64_t end) {
+        ++started;
+        if (begin == 5) {
+          // Wait (bounded) until some other block is running too.
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+          while (started.load() < 2 &&
+                 std::chrono::steady_clock::now() < until) {
+          }
+          throw std::runtime_error("block 5");
+        }
+        for (std::int64_t i = begin; i < end; ++i) {
+          ++hits[static_cast<std::size_t>(i)];
+        }
+      });
+      ADD_FAILURE() << "round " << round << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "block 5") << "round " << round;
+    }
+    EXPECT_EQ(hits[5], 0);
+    std::vector<int> after(100, 0);
+    pool.ParallelForRange(100, 3, [&](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t i = begin; i < end; ++i) {
+        ++after[static_cast<std::size_t>(i)];
+      }
+    });
+    for (int h : after) ASSERT_EQ(h, 1) << "round " << round;
+  }
 }
 
 TEST(SimClockTest, AdvancesMonotonically) {

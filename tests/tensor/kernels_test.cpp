@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <gtest/gtest.h>
 
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace s4tf {
@@ -425,6 +427,30 @@ TEST(KernelsTest, ZeroSizeShapes) {
             Shape({3, 0}));
   EXPECT_EQ(ShapeOf(OpKind::kRelu, {cols0}), Shape({3, 0}));
   EXPECT_EQ(ShapeOf(OpKind::kAdd, {cols0, scalar}), Shape({3, 0}));
+}
+
+// An empty last axis: Softmax and LogSoftmax have no element to normalize
+// and return their empty result; ArgMax over an empty axis has no answer,
+// and shape inference rejects it, naming the op, the shape and the axis.
+TEST(KernelsTest, EmptyReducedAxis) {
+  const Literal cols0 = Literal::Zeros(Shape({2, 0}));
+  for (OpKind kind : {OpKind::kSoftmax, OpKind::kLogSoftmax}) {
+    const Literal out = EvalOpLiteral(kind, {cols0}, {});
+    EXPECT_EQ(out.shape, Shape({2, 0})) << OpName(kind);
+    EXPECT_EQ(out.size(), 0) << OpName(kind);
+  }
+  try {
+    EvalOpLiteral(OpKind::kArgMax, {cols0}, OpAttrs{.axis = 1});
+    ADD_FAILURE() << "arg_max over an empty axis did not throw";
+  } catch (const InternalError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("arg_max"), std::string::npos) << what;
+    EXPECT_NE(what.find("[2, 0]"), std::string::npos) << what;
+    EXPECT_NE(what.find("axis 1"), std::string::npos) << what;
+  }
+  // Over the non-empty axis the answer exists: an index per empty column.
+  EXPECT_EQ(ShapeOf(OpKind::kArgMax, {cols0}, OpAttrs{.axis = 0}),
+            Shape({0}));
 }
 
 TEST(KernelsTest, RankZeroOpsReturnTheirScalar) {

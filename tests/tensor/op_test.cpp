@@ -169,6 +169,25 @@ TEST(InferShapeTest, ConcatSumsAxis) {
                InternalError);
 }
 
+TEST(InferShapeTest, EmptyReducedAxis) {
+  EXPECT_EQ(InferShape(OpKind::kSoftmax, {Shape({2, 0})}, {}), Shape({2, 0}));
+  EXPECT_EQ(InferShape(OpKind::kLogSoftmax, {Shape({2, 0})}, {}),
+            Shape({2, 0}));
+  OpAttrs attrs;
+  attrs.axis = 1;
+  try {
+    InferShape(OpKind::kArgMax, {Shape({2, 0})}, attrs);
+    ADD_FAILURE() << "arg_max over an empty axis did not throw";
+  } catch (const InternalError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("arg_max"), std::string::npos) << what;
+    EXPECT_NE(what.find("[2, 0]"), std::string::npos) << what;
+    EXPECT_NE(what.find("axis 1"), std::string::npos) << what;
+  }
+  attrs.axis = 0;
+  EXPECT_EQ(InferShape(OpKind::kArgMax, {Shape({2, 0})}, attrs), Shape({0}));
+}
+
 TEST(InferShapeTest, ArityMismatchRejected) {
   EXPECT_THROW(InferShape(OpKind::kAdd, {Shape({2})}, {}), InternalError);
   EXPECT_THROW(InferShape(OpKind::kExp, {Shape({2}), Shape({2})}, {}),

@@ -19,13 +19,26 @@ THROUGHPUT = {"name": "throughput", "better": "higher", "bound": 0.25}
 P50 = {"name": "p50_ms", "better": "lower", "bound": 0.25}
 
 
-def run(value, name="throughput"):
+def run(value, name="throughput", steal=0.01):
     return {"exit": 0, "result": {"failed": 0, "attempted": 100,
-                                  "metrics": {name: {"value": value}}}}
+                                  "metrics": {name: {"value": value}}},
+            "steal": steal}
 
 
 def failed_run():
-    return {"exit": 1, "result": None}
+    return {"exit": 1, "result": None, "steal": None}
+
+
+# The text block and JSON line of a perfbench run, as run.py relays them.
+CANNED_RUN = """\
+perfbench workload=lenet_eager seed=91 seconds=4 trace=0
+lenet_eager metrics (untraced; end-to-end run):
+  failed_frac                                     0 ratio       (text only)
+  validity.cpu_steal_frac                 0.0731256 ratio       (text only)
+  intra_op_threads                                4 count       (text only)
+  throughput                                10303.2 1/s
+{"correct": true, "attempted": 1237, "failed": 0, "metrics": {}}
+"""
 
 
 def pairs(base, change, name="throughput"):
@@ -126,6 +139,46 @@ class SummarizeTest(unittest.TestCase):
             pairs([10.0] * 10, [13.0] * 10, "p50_ms"), P50)
         self.assertEqual(problems, 1)
         self.assertIn("WORSE than 0.25", text)
+
+
+class StealTest(unittest.TestCase):
+
+    def test_reads_the_steal_line(self):
+        self.assertAlmostEqual(perf_pairs.parse_steal(CANNED_RUN), 0.0731256)
+
+    def test_missing_line_is_unknown_not_zero(self):
+        without = "\n".join(line for line in CANNED_RUN.splitlines()
+                             if "cpu_steal" not in line)
+        self.assertIsNone(perf_pairs.parse_steal(without))
+        p = pairs([100] * 2, [130] * 2)
+        p[0]["change"]["steal"] = perf_pairs.parse_steal(without)
+        line = perf_pairs.steal_summary(p)
+        self.assertIn("change highest 1.0% (1 unknown)", line)
+        self.assertIn("1 with a share unknown", line)
+        for pair in p:
+            pair["base"]["steal"] = None
+        self.assertIn("base highest unknown",
+                      perf_pairs.steal_summary(p))
+
+    def test_summary_counts_pairs_above_five_percent(self):
+        p = pairs([100] * 10, [130] * 10)
+        p[2]["base"]["steal"] = 0.12
+        p[5]["change"]["steal"] = 0.06
+        p[5]["base"]["steal"] = 0.07
+        p[7]["change"]["steal"] = 0.05  # not above
+        line = perf_pairs.steal_summary(p)
+        self.assertIn("base highest 12.0%", line)
+        self.assertIn("change highest 6.0%", line)
+        self.assertIn("pairs above 5% on either side: 2/10", line)
+        self.assertNotIn("unknown", line)
+
+    def test_steal_changes_no_verdict(self):
+        calm = pairs([100] * 10, [130] * 10)
+        stolen = pairs([100] * 10, [130] * 10)
+        for pair in stolen:
+            pair["base"]["steal"] = pair["change"]["steal"] = 0.3
+        self.assertEqual(perf_pairs.compare(calm, THROUGHPUT),
+                         perf_pairs.compare(stolen, THROUGHPUT))
 
 
 if __name__ == "__main__":

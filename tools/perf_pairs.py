@@ -30,6 +30,14 @@ times that side's median, unless every change run beats every base run;
 otherwise "ok".  Every run's JSON result goes to
 .bench_out/pairs-<base>-<time>.json.
 
+Each run's CPU steal share (perfbench's validity.cpu_steal_frac line: the
+share of the host's CPU time the hypervisor gave to other guests during the
+run) is kept with the run, printed beside it, and summarized per workload:
+each side's highest share and the number of pairs where either side saw more
+than 5%.  A run whose output lacks the line has an unknown share, never 0.
+Steal decides nothing: no pair is dropped for it, and the verdicts above
+ignore it.
+
 Exit codes: 0 every run passed and every metric is "ok"; 1 a run failed or a
 metric is "WORSE" or "unresolved"; 2 an export or a build failed.
 """
@@ -99,8 +107,27 @@ def build(tree, target_dir):
         fail("perfbench build failed in %s" % tree, 2)
 
 
+STEAL_NOTE = "validity.cpu_steal_frac"
+HIGH_STEAL = 0.05
+
+
+def parse_steal(stdout):
+    """Returns a run's CPU steal share from perfbench's text block.
+
+    Returns None (unknown) when no line carries a number for it."""
+    for line in stdout.splitlines():
+        fields = line.split()
+        if len(fields) >= 2 and fields[0] == STEAL_NOTE:
+            try:
+                return float(fields[1])
+            except ValueError:
+                return None
+    return None
+
+
 def run_once(side, workload, seed, seconds):
-    """One benchmark run; returns (exit code, JSON result or None)."""
+    """One benchmark run; returns (exit code, JSON result or None, steal
+    share or None)."""
     cmd = [sys.executable, os.path.join(side["tree"], "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
@@ -112,7 +139,33 @@ def run_once(side, workload, seed, seconds):
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = None
-    return proc.returncode, result
+    return proc.returncode, result, parse_steal(proc.stdout)
+
+
+def format_steal(steal):
+    return "unknown" if steal is None else "%.1f%%" % (100 * steal)
+
+
+def steal_summary(pairs):
+    """One line: each side's highest steal share and the pairs with more
+    than HIGH_STEAL on either side.  Unknown shares are counted apart."""
+    parts = []
+    for side in ("base", "change"):
+        shares = [p[side].get("steal") for p in pairs]
+        known = [s for s in shares if s is not None]
+        text = format_steal(max(known)) if known else "unknown"
+        if known and len(known) < len(shares):
+            text += " (%d unknown)" % (len(shares) - len(known))
+        parts.append("%s highest %s" % (side, text))
+    high = sum(any((p[side].get("steal") or 0.0) > HIGH_STEAL
+                   for side in ("base", "change")) for p in pairs)
+    unknown = sum(any(p[side].get("steal") is None
+                      for side in ("base", "change")) for p in pairs)
+    line = "  cpu steal: %s; pairs above %g%% on either side: %d/%d" % (
+        ", ".join(parts), 100 * HIGH_STEAL, high, len(pairs))
+    if unknown:
+        line += " (%d with a share unknown)" % unknown
+    return line
 
 
 def completed(run):
@@ -187,6 +240,7 @@ def summarize(workload, pairs, spec):
     print("  failed/attempted: base %d/%d, change %d/%d" %
           (failed["base"], attempted["base"], failed["change"],
            attempted["change"]))
+    print(steal_summary(pairs))
     if failed["base"] or failed["change"]:
         problems += 1
     print("  %-12s %-34s %-34s %8s %7s %-5s %s" %
@@ -246,14 +300,16 @@ def main():
                                                                "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    code, result = run_once(sides[side], workload, seed,
-                                            seconds)
-                    pair[side] = {"exit": code, "result": result}
+                    code, result, steal = run_once(sides[side], workload,
+                                                   seed, seconds)
+                    pair[side] = {"exit": code, "result": result,
+                                  "steal": steal}
                     shown = ("exit %d" % code if result is None else
                              " ".join("%s=%.5g" % (n, m["value"])
                                       for n, m in result["metrics"].items()))
-                    print("%s pair %d seed %d %-6s %s" %
-                          (workload, k, seed, side, shown),
+                    print("%s pair %d seed %d %-6s %s steal=%s" %
+                          (workload, k, seed, side, shown,
+                           format_steal(steal)),
                           file=sys.stderr, flush=True)
                 runs.setdefault(workload, []).append(pair)
     finally:
